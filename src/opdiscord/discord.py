@@ -341,8 +341,9 @@ def _polytope_distance_to_family(
     mb = b_vertices.shape[0]
     k = len(family)
 
-    cols = [np.kron(psi.coords, wv) for psi in family for wv in b_vertices]
-    W = np.array(cols).T  # dim x (k*mb)
+    # column (i, j) is kron(family[i], b_vertices[j]), built by one broadcast
+    fam = np.array([psi.coords for psi in family])
+    W = (fam[:, None, :, None] * b_vertices[None, :, None, :]).reshape(k * mb, dim).T
     A_eq = np.hstack([pure.T, -pure.T, W])
     A_eq = np.vstack([A_eq, np.concatenate([np.zeros(2 * m), np.ones(k * mb)])])
     b_eq = np.concatenate([rho.coords, [1.0]])

@@ -12,6 +12,7 @@ expression on the quantum backend.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -196,7 +197,10 @@ def are_perfectly_distinguishable(states: list[StateVec]) -> DistinguishabilityC
     return DistinguishabilityCertificate(True, tuple(system.effect(a) for a in coords))
 
 
+@functools.lru_cache(maxsize=128)
 def _polytope_maximal_families(theory: TheoryModel, budget: int) -> tuple[tuple[StateVec, ...], ...]:
+    """Enumerated once per theory object and budget (``TheoryModel`` hashes
+    by identity); the tuples of frozen states are safe to share."""
     pure = theory.pure_states
     m = len(pure)
     checks = 0

@@ -49,11 +49,13 @@ class _Tableau:
         piv = self.T[row, col]
         self.T[row] /= piv
         self.rhs[row] /= piv
-        for i in range(self.m):
-            if i != row and abs(self.T[i, col]) > 0.0:
-                f = self.T[i, col]
-                self.T[i] -= f * self.T[row]
-                self.rhs[i] -= f * self.rhs[row]
+        # Only rows with a nonzero pivot-column entry are updated: a full
+        # rank-1 update would also rewrite untouched rows (-0.0 -> 0.0).
+        f = self.T[:, col].copy()
+        f[row] = 0.0
+        rows = f.nonzero()[0]
+        self.T[rows] -= f[rows, None] * self.T[row]
+        self.rhs[rows] -= f[rows] * self.rhs[row]
         self.basis[row] = col
 
     def run(self, cost: np.ndarray, allowed: np.ndarray, max_iter: int) -> str:
@@ -62,24 +64,22 @@ class _Tableau:
             if self.iterations >= max_iter:
                 raise RuntimeError("simplex iteration limit exceeded")
             r = self.reduced_costs(cost)
-            entering = -1
-            for j in range(self.T.shape[1]):
-                if allowed[j] and r[j] < -FEASIBILITY_TOL:
-                    entering = j
-                    break
-            if entering < 0:
+            candidates = (allowed & (r < -FEASIBILITY_TOL)).nonzero()[0]
+            if candidates.size == 0:
                 return OPTIMAL
+            entering = int(candidates[0])
             col = self.T[:, entering]
+            rows = (col > FEASIBILITY_TOL).nonzero()[0]
+            ratios = self.rhs[rows] / col[rows]
+            # sequential Bland tie-break; a tolerance argmin is not equivalent
             best_ratio, leaving = None, -1
-            for i in range(self.m):
-                if col[i] > FEASIBILITY_TOL:
-                    ratio = self.rhs[i] / col[i]
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio - FEASIBILITY_TOL
-                        or (abs(ratio - best_ratio) <= FEASIBILITY_TOL and self.basis[i] < self.basis[leaving])
-                    ):
-                        best_ratio, leaving = ratio, i
+            for i, ratio in zip(rows.tolist(), ratios.tolist()):
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - FEASIBILITY_TOL
+                    or (abs(ratio - best_ratio) <= FEASIBILITY_TOL and self.basis[i] < self.basis[leaving])
+                ):
+                    best_ratio, leaving = ratio, i
             if leaving < 0:
                 return UNBOUNDED
             self.pivot(leaving, entering)
@@ -95,11 +95,14 @@ def solve_lp(
     """Solve ``min c.x  s.t.  A x = b, x >= 0``.
 
     ``dual_eq`` holds the equality multipliers y with ``A.T y <= c`` and
-    ``y.b`` equal to the optimum at feasible termination.
+    ``y.b`` equal to the optimum at feasible termination.  Raises
+    ``ValueError`` when ``c``, ``A`` or ``b`` holds a NaN or an infinity.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ValueError("LP data must be finite")
     m, n = A.shape
     if max_iter is None:
         max_iter = 200 * (m + n + 10)
@@ -119,13 +122,9 @@ def solve_lp(
     # drive remaining artificials out of the basis where possible
     for i in range(tab.m):
         if tab.basis[i] >= n:
-            entering = -1
-            for j in range(n):
-                if abs(tab.T[i, j]) > FEASIBILITY_TOL:
-                    entering = j
-                    break
-            if entering >= 0:
-                tab.pivot(i, entering)
+            candidates = (np.abs(tab.T[i, :n]) > FEASIBILITY_TOL).nonzero()[0]
+            if candidates.size:
+                tab.pivot(i, int(candidates[0]))
 
     # phase 2: artificials may not re-enter
     allowed = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])

@@ -87,17 +87,20 @@ class TheoryModel:
         return [EffectVec(self, a) for a in self.effect_vertex_coords]
 
     def state(self, coords) -> "StateVec":
-        coords = _frozen(coords)
-        if coords.shape != (self.dim,):
-            raise InvalidStateError(f"expected coords of length {self.dim}, got {coords.shape}")
+        coords = self._coords(coords)
         norm = abs(float(self.det_effect_coords @ coords) - 1.0) <= NORMALIZATION_TOL
         return StateVec(self, coords, norm)
 
     def effect(self, coords) -> "EffectVec":
+        return EffectVec(self, self._coords(coords))
+
+    def _coords(self, coords) -> np.ndarray:
         coords = _frozen(coords)
         if coords.shape != (self.dim,):
             raise InvalidStateError(f"expected coords of length {self.dim}, got {coords.shape}")
-        return EffectVec(self, coords)
+        if not np.isfinite(coords).all():
+            raise InvalidStateError("coordinates must be finite")
+        return coords
 
     def state_from_matrix(self, mat: np.ndarray) -> "StateVec":
         if self.backend != QUANTUM:

@@ -1,9 +1,9 @@
 """Independent oracles used to derive and verify expected values.
 
 Everything here is deliberately written against a different code path
-than the package: brute-force enumeration, direct index summation, and
-scipy's LP solver.  Values frozen into the tests were computed with
-these oracles first.
+than the package: brute-force enumeration, direct index summation,
+scipy's LP solver, and a scalar-loop form of the package's simplex.
+Values frozen into the tests were computed with these oracles first.
 """
 
 from __future__ import annotations
@@ -109,6 +109,87 @@ def scipy_distance_to_family(
     res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * (2 * m + nk), method="highs")
     assert res.status == 0
     return float(res.fun)
+
+
+def row_loop_simplex(c, A, b, tol: float = 1e-9):
+    """Two-phase dense simplex with Bland's rule, one tableau row at a time.
+
+    The same arithmetic as ``opdiscord.lp.solve_lp`` written as scalar
+    loops: every row update, entering column and ratio test is taken in
+    index order.  Returns ``(status, objective, x, dual_eq, iterations)``
+    so the vectorized solver can be compared with it bit for bit.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    max_iter = 200 * (m + n + 10)
+    row_sign = np.where(b < 0.0, -1.0, 1.0)
+    T = np.hstack([A * row_sign[:, None], np.eye(m)])
+    rhs = b * row_sign
+    basis = list(range(n, n + m))
+    iterations = 0
+
+    def pivot(row, col):
+        piv = T[row, col]
+        T[row] /= piv
+        rhs[row] /= piv
+        for i in range(m):
+            if i != row and abs(T[i, col]) > 0.0:
+                f = T[i, col]
+                T[i] -= f * T[row]
+                rhs[i] -= f * rhs[row]
+        basis[row] = col
+
+    def run(cost, allowed):
+        nonlocal iterations
+        while True:
+            if iterations >= max_iter:
+                raise RuntimeError("simplex iteration limit exceeded")
+            r = cost - cost[basis] @ T
+            entering = -1
+            for j in range(T.shape[1]):
+                if allowed[j] and r[j] < -tol:
+                    entering = j
+                    break
+            if entering < 0:
+                return "optimal"
+            col = T[:, entering]
+            best_ratio, leaving = None, -1
+            for i in range(m):
+                if col[i] > tol:
+                    ratio = rhs[i] / col[i]
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio - tol
+                        or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leaving])
+                    ):
+                        best_ratio, leaving = ratio, i
+            if leaving < 0:
+                return "unbounded"
+            pivot(leaving, entering)
+            iterations += 1
+
+    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
+    assert run(cost1, np.ones(n + m, dtype=bool)) == "optimal"
+    if float(cost1[basis] @ rhs) > 1e-7:
+        return "infeasible", np.inf, np.zeros(n), np.zeros(m), iterations
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if abs(T[i, j]) > tol:
+                    pivot(i, j)
+                    break
+    c_ext = np.concatenate([c, np.zeros(m)])
+    allowed = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
+    if run(c_ext, allowed) == "unbounded":
+        return "unbounded", -np.inf, np.zeros(n), np.zeros(m), iterations
+    x = np.zeros(n)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = rhs[i]
+    y = (c_ext[basis] @ T[:, n:]) * row_sign
+    return "optimal", float(c @ x), x, y, iterations
 
 
 def simplex_lattice(cells: int, denominator: int) -> np.ndarray:

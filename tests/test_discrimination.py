@@ -5,7 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opdiscord as od
-from opdiscord.discrimination import _polytope_max_pairing
+from opdiscord.discrimination import (
+    FAMILY_CHECK_BUDGET,
+    _polytope_max_pairing,
+    _polytope_maximal_families,
+)
 from opdiscord.sampling import random_state
 
 import oracles
@@ -242,3 +246,21 @@ class TestMaximalFamilies:
     def test_budget_error(self, pentagon):
         with pytest.raises(od.ResourceBudgetError):
             od.maximal_distinguishable_pure_families(pentagon, budget=2)
+
+    def test_families_cached_per_theory_object(self):
+        def coords(fams):
+            return [[s.coords.tobytes() for s in fam] for fam in fams]
+
+        # fresh objects: the cache is keyed by theory identity
+        pentagon = od.make_polygon(5)
+        for _ in range(2):
+            with pytest.raises(od.ResourceBudgetError):
+                od.maximal_distinguishable_pure_families(pentagon, budget=2)
+        first = od.maximal_distinguishable_pure_families(pentagon)
+        assert od.maximal_distinguishable_pure_families(pentagon) is first
+        uncached = _polytope_maximal_families.__wrapped__(pentagon, FAMILY_CHECK_BUDGET)
+        assert coords(first) == coords(uncached)
+        with pytest.raises(od.ResourceBudgetError):
+            od.maximal_distinguishable_pure_families(pentagon, budget=2)
+        other = od.maximal_distinguishable_pure_families(od.make_polygon(5))
+        assert other is not first and coords(other) == coords(first)

@@ -1,9 +1,15 @@
+import importlib
+
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from opdiscord.lp import INFEASIBLE, OPTIMAL, lp_feasible, solve_lp
+import opdiscord as od
+from opdiscord.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_feasible, solve_lp
+
+import oracles
 
 
 def test_known_small_lp():
@@ -85,3 +91,82 @@ def test_determinism():
     assert r1.objective == r2.objective
     assert np.array_equal(r1.x, r2.x)
     assert np.array_equal(r1.dual_eq, r2.dual_eq)
+
+
+def _bits(status, objective, x, dual_eq, iterations):
+    return status, np.float64(objective).tobytes(), x.tobytes(), dual_eq.tobytes(), iterations
+
+
+def _lp_instance(kind, m, n, rng):
+    if kind == "degenerate":
+        # small integers give exact ratio ties; a repeated row and zeros in
+        # the feasible point make the right-hand side degenerate
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        A[-1] = A[0]
+        x = rng.integers(0, 2, size=n).astype(float)
+        return rng.integers(-2, 3, size=n).astype(float), A, A @ x
+    A = rng.normal(size=(m, n))
+    x = rng.uniform(0.1, 1.0, size=n)
+    c = rng.normal(size=n)
+    if kind == "negative_rhs":
+        A[A @ x > 0.0] *= -1.0
+    elif kind == "infeasible":
+        A = np.abs(A)  # A x >= 0 on x >= 0, so a negative entry of b is unreachable
+        b = A @ x
+        b[0] = -1.0
+        return c, A, b
+    elif kind == "unbounded":
+        d = rng.uniform(0.1, 1.0, size=n)  # a ray with A d = 0 along which c falls
+        A -= np.outer(A @ d, d) / (d @ d)
+        c -= (c @ d + 1.0) * d / (d @ d)
+    return c, A, A @ x
+
+
+@given(
+    st.sampled_from(["random", "degenerate", "negative_rhs", "infeasible", "unbounded"]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=10),
+    st.integers(),
+)
+def test_bit_identical_to_row_loop_oracle(kind, m, n, seed):
+    c, A, b = _lp_instance(kind, m, n, np.random.default_rng(abs(seed) % 2**32))
+    res = solve_lp(c, A, b)
+    assert _bits(res.status, res.objective, res.x, res.dual_eq, res.iterations) == _bits(
+        *oracles.row_loop_simplex(c, A, b)
+    )
+    if kind == "infeasible":
+        assert res.status == INFEASIBLE
+    if kind == "unbounded":
+        assert res.status == UNBOUNDED
+
+
+def test_polytope_discord_lps_bit_identical_to_row_loop_oracle(monkeypatch):
+    # the distance LPs of polytope discord are larger and far more
+    # degenerate than random instances
+    checked = []
+
+    def compared(c, A, b):
+        res = solve_lp(c, A, b)
+        assert _bits(res.status, res.objective, res.x, res.dual_eq, res.iterations) == _bits(
+            *oracles.row_loop_simplex(c, A, b)
+        )
+        checked.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(importlib.import_module("opdiscord.discord"), "solve_lp", compared)
+    rng = np.random.default_rng(11)
+    for theory in (od.make_gbit(), od.make_polygon(5)):
+        ab = od.compose_theories(theory, theory)
+        pure = ab.pure_state_coords
+        for _ in range(2):
+            od.discord(ab.state(rng.dirichlet(np.full(pure.shape[0], 0.3)) @ pure))
+    assert len(checked) == 2 * (6 + 5) and min(checked) > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["c", "A", "b"])
+def test_non_finite_data_rejected(which, bad):
+    data = {"c": np.ones(2), "A": np.eye(2), "b": np.array([1.0, 0.5])}
+    data[which].flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(data["c"], data["A"], data["b"])

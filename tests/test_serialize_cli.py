@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,19 @@ class TestCLI:
         bad = tmp_path / "bad.json"
         bad.write_text('{"theory": "classical(2)", "systems": ["classical(2)"], "coords": [1.0]}')
         assert main(["distance", str(bad), str(bad)]) == 2
+
+    def test_nan_state_file_exits_2_naming_the_cause(self, tmp_path):
+        path = tmp_path / "nan.json"
+        coords = [float("nan")] + [0.1] * 8
+        path.write_text(json.dumps({"theory": "gbit", "systems": ["gbit", "gbit"], "coords": coords}))
+        src = str(Path(od.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opdiscord", "discord", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "coordinates must be finite" in proc.stderr
 
     def test_exit_code_on_mismatched_systems(self, state_files, capsys):
         assert main(["distance", state_files["s0"], state_files["bell"]]) == 2

@@ -125,6 +125,13 @@ class TestMembership:
         outside = gbit.state([2.0, 2.0, 1.0])
         assert not od.state_in_cone(outside)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_rejected(self, gbit, bad):
+        with pytest.raises(od.InvalidStateError, match="coordinates must be finite"):
+            gbit.state([bad, 0.0, 1.0])
+        with pytest.raises(od.InvalidStateError, match="coordinates must be finite"):
+            gbit.effect([0.0, bad, 0.5])
+
     def test_mixture_not_pure(self, classical2):
         assert not od.is_pure(classical2.state([0.5, 0.5]), 1e-9)
 
