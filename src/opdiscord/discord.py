@@ -17,9 +17,11 @@ classical-quantum states exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from . import herm
@@ -28,7 +30,6 @@ from .discrimination import (
     are_perfectly_distinguishable,
     haar_basis_sample,
     maximal_distinguishable_pure_families,
-    qubit_direction_grid,
 )
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
 from .lp import OPTIMAL, solve_lp
@@ -41,6 +42,7 @@ from .theory import (
     compose_theories,
     is_pure,
     state_in_cone,
+    validate_state,
 )
 
 ZERO_WEIGHT_TOL = 1e-12
@@ -136,27 +138,85 @@ def _require_quantum_bipartite(rho: StateVec) -> tuple[int, int]:
     return fa.quantum_levels, fb.quantum_levels
 
 
-def _helstrom(delta: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(delta))) / 2.0)
+def _require_quantum_state(rho: StateVec) -> tuple[int, int]:
+    """Levels of a quantum bipartite ``rho``, which must be positive semidefinite."""
+    levels = _require_quantum_bipartite(rho)
+    validate_state(rho)
+    return levels
+
+
+# The quantum kernel works on stacks: bases ``(G, K, da)`` (rows are kets),
+# blocks ``(G, K, db, db)`` and matrices ``(G, da*db, da*db)``.  Each entry
+# is formed by the same floating-point operations as the one-basis-at-a-time
+# forms kept in ``tests/oracles.py``, so the stacked values equal theirs bit
+# for bit; single-basis callers pass ``G = 1``.
+
+
+def _helstrom(delta: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each matrix in the stack."""
+    return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1) / 2.0
 
 
 def _blocks(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Diagonal blocks ``tau_k = (<k| (x) I) rho (|k> (x) I)``, shape (K, db, db)."""
+    """Diagonal blocks ``tau_k = (<k| (x) I) rho (|k> (x) I)``, shape (G, K, db, db)."""
     rr = rho_mat.reshape(da, db, da, db)
-    return np.einsum("ka,abcd,kc->kbd", kets.conj(), rr, kets)
+    return np.einsum("gka,abcd,gkc->gkbd", kets.conj(), rr, kets)
 
 
 def _cq_matrix(kets: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    out = None
-    for ket, tau in zip(kets, taus):
-        term = np.kron(np.outer(ket, ket.conj()), tau)
-        out = term if out is None else out + term
+    """``sum_k |k><k| (x) tau_k`` per basis: every entry is the single
+    product ``np.kron`` forms, and the ``k`` terms are added in order."""
+    g, k, da = kets.shape
+    dim = da * taus.shape[-1]
+    proj = kets[..., :, None] * kets.conj()[..., None, :]
+    terms = (proj[..., :, None, :, None] * taus[..., None, :, None, :]).reshape(g, k, dim, dim)
+    out = terms[:, 0]
+    for i in range(1, k):
+        out = out + terms[:, i]
     return out
 
 
-def _pinch_distance(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int) -> float:
-    taus = _blocks(rho_mat, kets, da, db)
-    return _helstrom(rho_mat - _cq_matrix(kets, taus))
+def _pinch_deltas(rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int) -> np.ndarray:
+    """``rho`` minus its pinching in each basis, shape (G, da*db, da*db)."""
+    return rho_mat - _cq_matrix(bases, _blocks(rho_mat, bases, da, db))
+
+
+def _pinch_distances(rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Distance from ``rho`` to its pinching in each basis, shape (G,)."""
+    return _helstrom(_pinch_deltas(rho_mat, bases, da, db))
+
+
+def _pinch_residuals(
+    rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int, herm_basis: np.ndarray
+) -> np.ndarray:
+    """Largest Hermitian-basis coordinate of ``rho`` minus its pinching,
+    per basis, shape (G,)."""
+    coords = np.einsum("gij,kji->gk", _pinch_deltas(rho_mat, bases, da, db), herm_basis)
+    return np.max(np.abs(coords.real), axis=-1)
+
+
+def _measured_J(
+    rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int, s_b: float
+) -> np.ndarray:
+    """``S(B) - sum_k p_k S(tau_k / p_k)`` per basis, outcomes with
+    ``p_k <= ZERO_WEIGHT_TOL`` skipped, shape (G,)."""
+    taus = _blocks(rho_mat, bases, da, db)
+    p = np.trace(taus, axis1=-2, axis2=-1).real
+    kept = p > ZERO_WEIGHT_TOL
+    w = np.linalg.eigvalsh(taus / np.where(kept, p, 1.0)[..., None, None])
+    live = w > herm.ENTROPY_EIG_FLOOR
+    terms = w * np.log2(np.where(live, w, 1.0))
+    # eigenvalues ascend, so the live ones are a suffix of each row; sum
+    # each suffix on its own, as ``herm.entropy_bits`` sums the live ones
+    n_live = live.sum(axis=-1)
+    entropy = np.zeros(p.shape)
+    for n in np.unique(n_live[n_live > 0]):
+        rows = n_live == n
+        entropy[rows] = -np.sum(terms[rows][:, db - n :], axis=-1)
+    out = np.full(len(bases), s_b)
+    for k in range(da):
+        out = np.where(kept[:, k], out - p[:, k] * entropy[:, k], out)
+    return out
 
 
 def _marginal_a_matrix(rho_mat: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -231,20 +291,17 @@ def check_vonneumann_fixed_point(rho: StateVec, basis: np.ndarray, tol: float = 
     gram = basis @ basis.conj().T
     if np.max(np.abs(gram - np.eye(da))) > 1e-8:
         raise InvalidStateError("basis is not orthonormal")
-    rho_mat = rho.matrix()
-    taus = _blocks(rho_mat, basis, da, db)
-    diff = rho_mat - _cq_matrix(basis, taus)
-    coords_diff = herm.mat_to_coords(diff, rho.system.herm_basis)
-    return bool(np.max(np.abs(coords_diff)) <= tol)
+    residual = _pinch_residuals(rho.matrix(), basis[None], da, db, rho.system.herm_basis)[0]
+    return bool(residual <= tol)
 
 
-def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
+def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Rotation grid inside degenerate eigenspaces of the marginal.
 
     Pairs of nearly equal eigenvalues get a full two-parameter rotation
     grid (ROTATION_GRID angles per parameter) applied to their
     eigenvectors; a fully degenerate qubit marginal reduces to a grid
-    over all bases.
+    over all bases.  Returns a ``(R, d, d)`` stack, possibly empty.
     """
     out = []
     d = len(w)
@@ -255,8 +312,6 @@ def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> list[np.ndarray]
             if i - start >= 2:
                 clusters.append((start, i))
             start = i
-    if not clusters:
-        return out
     thetas = np.linspace(0.0, np.pi, ROTATION_GRID)
     phis = np.linspace(-np.pi, np.pi, ROTATION_GRID, endpoint=False)
     for lo, hi in clusters:
@@ -268,18 +323,27 @@ def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> list[np.ndarray]
                     sub = u[:, [i, i + 1]]
                     cols[:, i] = sub @ rot[0]
                     cols[:, i + 1] = sub @ rot[1]
-                    out.append(cols.T.copy())
-    return out
+                    out.append(cols.T)
+    return np.array(out, dtype=complex).reshape(-1, d, d)
 
 
-def _grid_bases(da: int, config: SearchConfig) -> list[np.ndarray]:
-    n = config.resolved_grid_points(da)
-    if da == 2:
-        return [
-            _basis_from_angles(*_angles_from_direction(v))
-            for v in qubit_direction_grid(n)
-        ]
-    return haar_basis_sample(da, n, config.seed)
+@functools.lru_cache(maxsize=16)
+def _grid_stack(levels: int, points: int, seed: int | None) -> np.ndarray:
+    if levels == 2:
+        bases = [_basis_from_angles(*_angles_from_direction(v)) for v in herm.fibonacci_sphere(points)]
+    else:
+        bases = haar_basis_sample(levels, points, seed)
+    grid = np.array(bases, dtype=complex).reshape(-1, levels, levels)
+    grid.setflags(write=False)
+    return grid
+
+
+def _grid_bases(da: int, config: SearchConfig) -> np.ndarray:
+    """The measurement grid as one read-only ``(G, da, da)`` stack, built
+    once per levels, point count and seed (the qubit's Fibonacci sphere
+    has no seed).  Copy a basis before handing it out."""
+    seed = None if da == 2 else config.seed
+    return _grid_stack(da, config.resolved_grid_points(da), seed)
 
 
 def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) -> np.ndarray | None:
@@ -291,7 +355,8 @@ def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) ->
     any classical-quantum state, degenerate weights included), rotation
     grids inside degenerate marginal eigenspaces, and the measurement
     grid.  Returns the first basis passing the fixed-point check, or
-    None when the budget is exhausted.
+    None when the budget is exhausted.  The two grids are built only
+    when the first four candidates fail.
     """
     cfg = config or DEFAULT_CONFIG
     da, db = _require_quantum_bipartite(rho)
@@ -309,13 +374,16 @@ def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) ->
         _, uc = np.linalg.eigh(compression)
         candidates.append(uc.T.copy())
 
-    candidates.extend(_degenerate_rotation_bases(w, u))
-    candidates.extend(_grid_bases(da, cfg))
-
     for basis in candidates:
         if check_vonneumann_fixed_point(rho, basis):
             return basis
-    return None
+
+    # the rotation and measurement grids are built only once those fail,
+    # and checked in one stacked step
+    stack = np.concatenate([_degenerate_rotation_bases(w, u), _grid_bases(da, cfg)])
+    residuals = _pinch_residuals(rho_mat, stack, da, db, rho.system.herm_basis)
+    passing = np.flatnonzero(residuals <= FIXED_POINT_TOL)
+    return stack[passing[0]].copy() if passing.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +499,7 @@ def _polish_conditionals(
     def objective(params: np.ndarray) -> float:
         counter[0] += 1
         taus = _taus_from_params(params, k, db)
-        return _helstrom(rho_mat - _cq_matrix(kets, taus))
+        return float(_helstrom(rho_mat - _cq_matrix(kets[None], taus[None])[0]))
 
     best_val = objective(x0)
     best_taus = _taus_from_params(x0, k, db)
@@ -482,10 +550,10 @@ def distance_to_family(
         value, decomp, _ = _polytope_distance_to_family(rho, family)
         return value, decomp
 
-    da, db = _require_quantum_bipartite(rho)
+    da, db = _require_quantum_state(rho)
     kets = _kets_from_family(family)
     rho_mat = rho.matrix()
-    taus = _blocks(rho_mat, kets, da, db)
+    taus = _blocks(rho_mat, kets[None], da, db)[0]
     counter = [0]
     value, taus = _polish_conditionals(rho_mat, kets, taus, cfg, counter)
     return value, _quantum_decomposition(rho.system, kets, taus)
@@ -500,28 +568,26 @@ def _quantum_basis_search(
     da: int,
     db: int,
     cfg: SearchConfig,
-    objective_of_basis,
+    objective,
     counter: list[int],
 ) -> tuple[np.ndarray, float, bool]:
     """Grid plus Nelder-Mead refinement over measurement bases.
 
-    ``objective_of_basis`` maps a (da, da) array of kets to a float; the
-    grid is scored first, then the best ``cfg.restarts`` points seed
-    local refinement.  Ties resolve to the lowest grid index.
+    ``objective`` maps a ``(G, da, da)`` stack of bases (rows are kets) to
+    ``G`` scores; the whole grid is scored in one call, then the best
+    ``cfg.restarts`` points seed local refinement, which scores one basis
+    per call.  Ties resolve to the lowest grid index.
     """
-    if da == 2:
-        dirs = qubit_direction_grid(cfg.resolved_grid_points(2))
-        grid = [_basis_from_angles(*_angles_from_direction(v)) for v in dirs]
-    else:
-        grid = haar_basis_sample(da, cfg.resolved_grid_points(da), cfg.seed)
-
-    scores = []
-    for basis in grid:
-        counter[0] += 1
-        scores.append(objective_of_basis(basis))
+    grid = _grid_bases(da, cfg)
+    counter[0] += len(grid)
+    scores = objective(grid)
     order = np.argsort(scores, kind="stable")
     best_idx = int(order[0])
-    best_basis, best_val = grid[best_idx], float(scores[best_idx])
+    best_basis, best_val = grid[best_idx].copy(), float(scores[best_idx])
+
+    def score(basis: np.ndarray) -> float:
+        counter[0] += 1
+        return float(objective(basis[None])[0])
 
     success = False
     hb = herm.hermitian_basis(da) if da > 2 else None
@@ -533,55 +599,40 @@ def _quantum_basis_search(
             phi = float(np.angle(ket0[1])) if abs(ket0[1]) > 1e-12 else 0.0
             x0 = np.array([theta, phi])
 
-            def objective(x):
-                counter[0] += 1
-                return objective_of_basis(_basis_from_angles(x[0], x[1]))
-
-            res = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"maxiter": cfg.refine_iters, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            cand_basis = _basis_from_angles(res.x[0], res.x[1])
+            def basis_of(x):
+                return _basis_from_angles(x[0], x[1])
         else:
-            from scipy.linalg import expm
-
             u0 = start_basis.T
             x0 = np.zeros(da * da)
 
-            def objective(x):
-                counter[0] += 1
-                gen = np.einsum("k,kij->ij", x, hb)
-                return objective_of_basis((expm(1j * gen) @ u0).T)
+            def basis_of(x):
+                return (expm(1j * np.einsum("k,kij->ij", x, hb)) @ u0).T
 
-            res = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"maxiter": cfg.refine_iters, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            gen = np.einsum("k,kij->ij", res.x, hb)
-            cand_basis = (expm(1j * gen) @ u0).T
-        counter[0] += 1
-        val = objective_of_basis(cand_basis)
+        res = minimize(
+            lambda x: score(basis_of(x)),
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": cfg.refine_iters, "xatol": 1e-10, "fatol": 1e-12},
+        )
+        cand_basis = basis_of(res.x)
+        val = score(cand_basis)
         if val < best_val:
-            best_val, best_basis = float(val), cand_basis
+            best_val, best_basis = val, cand_basis
         success = success or bool(res.success)
     return best_basis, best_val, success
 
 
 def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
-    da, db = _require_quantum_bipartite(rho)
+    da, db = _require_quantum_state(rho)
     ab = rho.system
     rho_mat = rho.matrix()
     counter = [0]
 
     fixed = find_fixed_point_basis(rho, cfg)
     if fixed is not None:
-        taus = _blocks(rho_mat, fixed, da, db)
-        sigma = _cq_matrix(fixed, taus)
-        value = _helstrom(rho_mat - sigma)
+        taus = _blocks(rho_mat, fixed[None], da, db)[0]
+        sigma = _cq_matrix(fixed[None], taus[None])[0]
+        value = float(_helstrom(rho_mat - sigma))
         counter[0] += 1
         return DiscordResult(
             value=value,
@@ -591,11 +642,11 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
             converged=True,
         )
 
-    def pinch_objective(basis: np.ndarray) -> float:
-        return _pinch_distance(rho_mat, basis, da, db)
+    def pinch_objective(bases: np.ndarray) -> np.ndarray:
+        return _pinch_distances(rho_mat, bases, da, db)
 
     basis, value, success = _quantum_basis_search(rho_mat, da, db, cfg, pinch_objective, counter)
-    taus = _blocks(rho_mat, basis, da, db)
+    taus = _blocks(rho_mat, basis[None], da, db)[0]
 
     # joint polish of conditionals (and implicitly the weights) at the
     # winning basis; the family stays fixed, the value stays exact
@@ -603,7 +654,7 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
     if polished_val < value:
         value, taus = polished_val, polished_taus
 
-    sigma = _cq_matrix(basis, taus)
+    sigma = _cq_matrix(basis[None], taus[None])[0]
     return DiscordResult(
         value=max(float(value), 0.0),
         optimizer=_quantum_decomposition(ab, basis, taus),
@@ -670,7 +721,7 @@ def is_null_discord(
 
 
 def _entropies(rho: StateVec) -> tuple[float, float, float, np.ndarray, int, int]:
-    da, db = _require_quantum_bipartite(rho)
+    da, db = _require_quantum_state(rho)
     rho_mat = rho.matrix()
     s_a = herm.entropy_bits(_marginal_a_matrix(rho_mat, da, db))
     s_b = herm.entropy_bits(_marginal_b_matrix(rho_mat, da, db))
@@ -686,7 +737,7 @@ def mutual_information(rho: StateVec) -> float:
 
 def conditional_J(rho: StateVec, basis: np.ndarray) -> float:
     """``S(B) - sum_i p_i S(B | outcome i)`` for a von Neumann measurement."""
-    da, db = _require_quantum_bipartite(rho)
+    da, db = _require_quantum_state(rho)
     basis = np.asarray(basis, dtype=complex)
     if basis.shape != (da, da):
         raise InvalidStateError(f"basis must be a ({da}, {da}) array of kets")
@@ -694,13 +745,8 @@ def conditional_J(rho: StateVec, basis: np.ndarray) -> float:
     if np.max(np.abs(gram - np.eye(da))) > 1e-8:
         raise InvalidStateError("basis is not orthonormal")
     rho_mat = rho.matrix()
-    out = herm.entropy_bits(_marginal_b_matrix(rho_mat, da, db))
-    taus = _blocks(rho_mat, basis, da, db)
-    for tau in taus:
-        p = float(np.trace(tau).real)
-        if p > ZERO_WEIGHT_TOL:
-            out -= p * herm.entropy_bits(tau / p)
-    return out
+    s_b = herm.entropy_bits(_marginal_b_matrix(rho_mat, da, db))
+    return float(_measured_J(rho_mat, basis[None], da, db, s_b)[0])
 
 
 def quantum_discord_entropy(rho: StateVec, config: SearchConfig | None = None) -> EntropyReport:
@@ -710,14 +756,8 @@ def quantum_discord_entropy(rho: StateVec, config: SearchConfig | None = None) -
     s_a, s_b, s_ab, rho_mat, da, db = _entropies(rho)
     info = s_a + s_b - s_ab
 
-    def objective(basis: np.ndarray) -> float:
-        out = herm.entropy_bits(_marginal_b_matrix(rho_mat, da, db))
-        taus = _blocks(rho_mat, basis, da, db)
-        for tau in taus:
-            p = float(np.trace(tau).real)
-            if p > ZERO_WEIGHT_TOL:
-                out -= p * herm.entropy_bits(tau / p)
-        return info - out
+    def objective(bases: np.ndarray) -> np.ndarray:
+        return info - _measured_J(rho_mat, bases, da, db, s_b)
 
     counter = [0]
     basis, best, _ = _quantum_basis_search(rho_mat, da, db, cfg, objective, counter)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .errors import InvalidStateError, ResourceBudgetError
 from .herm import bloch_projector, fibonacci_sphere
 from .lp import OPTIMAL, solve_lp
@@ -240,11 +241,6 @@ def _polytope_maximal_families(theory: TheoryModel, budget: int) -> tuple[tuple[
     return tuple(tuple(pure[i] for i in sorted(s)) for s in maximal)
 
 
-def qubit_direction_grid(n: int) -> np.ndarray:
-    """Measurement directions for two-level systems (Fibonacci sphere)."""
-    return fibonacci_sphere(n)
-
-
 def haar_basis_sample(d: int, n: int, seed: int) -> list[np.ndarray]:
     """Deterministic Haar-random orthonormal bases, one (d, d) array each,
     rows are basis vectors."""
@@ -282,10 +278,10 @@ def maximal_distinguishable_pure_families(
     if theory.backend == POLYTOPE:
         return _polytope_maximal_families(theory, budget)
     d = theory.quantum_levels
-    n = grid_points if grid_points is not None else (2000 if d == 2 else 5000)
+    n = grid_points if grid_points is not None else DEFAULT_CONFIG.resolved_grid_points(d)
     families = []
     if d == 2:
-        for direction in qubit_direction_grid(n):
+        for direction in fibonacci_sphere(n):
             p = bloch_projector(direction)
             families.append(
                 (

@@ -82,7 +82,10 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def entropy_bits(mat: np.ndarray, eig_floor: float = 1e-12) -> float:
+ENTROPY_EIG_FLOOR = 1e-12
+
+
+def entropy_bits(mat: np.ndarray, eig_floor: float = ENTROPY_EIG_FLOOR) -> float:
     """Von Neumann entropy in bits; eigenvalues below eig_floor contribute 0."""
     w = np.linalg.eigvalsh(np.asarray(mat, dtype=complex))
     w = w[w > eig_floor]

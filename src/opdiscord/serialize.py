@@ -8,6 +8,7 @@ relies on.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -23,6 +24,7 @@ from .theory import (
     TestModel,
     TheoryModel,
     Transformation,
+    _frozen,
     compose_theories,
     make_classical,
     make_polygon,
@@ -86,12 +88,19 @@ def resolve_theory(name: str, loaded: dict[str, TheoryModel] | None = None) -> T
     m = _PATTERN.match(name)
     if not m:
         raise InvalidStateError(f"unknown theory name: {name!r}")
-    kind, arg = m.group(1), int(m.group(2))
+    return _builtin_theory(m.group(1), int(m.group(2)))
+
+
+@functools.lru_cache(maxsize=128)
+def _builtin_theory(kind: str, n: int) -> TheoryModel:
+    """Built once per family and size, so repeated runs share one theory
+    object and with it the caches keyed by theory identity (families,
+    composites)."""
     if kind == "classical":
-        return make_classical(arg)
+        return make_classical(n)
     if kind == "polygon":
-        return make_polygon(arg)
-    return make_quantum(arg)
+        return make_polygon(n)
+    return make_quantum(n)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +126,7 @@ def theory_to_obj(theory: TheoryModel) -> dict:
 def theory_from_obj(obj: dict) -> TheoryModel:
     backend = obj["backend"]
     if backend == QUANTUM:
-        theory = make_quantum(int(obj["quantum_levels"]))
+        theory = _builtin_theory("quantum", int(obj["quantum_levels"]))
         if theory.dim != int(obj["dim"]):
             raise InvalidStateError("quantum theory file has dim != quantum_levels^2")
         return theory
@@ -129,8 +138,6 @@ def theory_from_obj(obj: dict) -> TheoryModel:
     dim = int(obj["dim"])
     if pure.ndim != 2 or pure.shape[1] != dim or det.shape != (dim,):
         raise InvalidStateError("polytope theory file has inconsistent dimensions")
-    from .theory import _frozen
-
     return TheoryModel(
         name=str(obj["name"]),
         backend=POLYTOPE,

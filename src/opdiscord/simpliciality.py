@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SearchConfig
-from .discord import discord
+from .discord import _blocks, _cq_matrix, discord
 from .sampling import random_state
 from .theory import (
     POLYTOPE,
@@ -112,19 +112,13 @@ def _per_basis_dual(
     a = a0.copy()
     best, best_a = -np.inf, a0
     for it in range(iters):
-        aa = a.reshape(da, db, da, db)
-        top_val, top_k, top_phi = -np.inf, 0, None
-        for k in range(da):
-            block = np.einsum("a,abcd,c->bd", kets[k].conj(), aa, kets[k])
-            w, u = np.linalg.eigh(block)
-            if w[-1] > top_val:
-                top_val, top_k, top_phi = float(w[-1]), k, u[:, -1]
-        gain = float(np.real(np.trace(a @ rho_mat))) - top_val
+        w, u = np.linalg.eigh(_blocks(a, kets[None], da, db)[0])
+        top = int(np.argmax(w[:, -1]))  # the first maximum, as a strict ">" scan keeps
+        gain = float(np.real(np.trace(a @ rho_mat))) - float(w[top, -1])
         if gain > best:
             best, best_a = gain, a.copy()
-        witness = np.kron(
-            np.outer(kets[top_k], kets[top_k].conj()), np.outer(top_phi, top_phi.conj())
-        )
+        phi = u[top, :, -1]
+        witness = _cq_matrix(kets[None, top : top + 1], np.outer(phi, phi.conj())[None, None])[0]
         a = _clip_effect(a + 0.3 / math.sqrt(it + 1.0) * (rho_mat - witness))
     return best, best_a
 

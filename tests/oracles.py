@@ -354,3 +354,71 @@ def entropic_discord_grid_oracle(rho_mat: np.ndarray, n_theta: int = 80, n_phi: 
                     j -= p * entropy_bits_oracle(tau / p)
             best_j = max(best_j, j)
     return info - best_j
+
+
+# ---------------------------------------------------------------------------
+# one-basis-at-a-time forms of the stacked quantum kernel
+#
+# The package scores whole stacks of measurement bases at once.  These are
+# the scalar loops it replaced, kept so the stacked kernel can be compared
+# with them bit for bit.  ``kets`` holds one basis, rows are kets.
+
+
+def kron_cq_matrix(kets: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``sum_k |k><k| (x) tau_k`` as a running sum of ``np.kron`` terms."""
+    out = None
+    for ket, tau in zip(kets, taus):
+        term = np.kron(np.outer(ket, ket.conj()), tau)
+        out = term if out is None else out + term
+    return out
+
+
+def basis_blocks(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Diagonal blocks ``(<k| (x) I) rho (|k> (x) I)`` of one basis, (K, db, db)."""
+    return np.einsum("ka,abcd,kc->kbd", kets.conj(), rho_mat.reshape(da, db, da, db), kets)
+
+
+def pinch_distance(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int) -> float:
+    """Half the trace norm of ``rho`` minus its pinching in one basis."""
+    delta = rho_mat - kron_cq_matrix(kets, basis_blocks(rho_mat, kets, da, db))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(delta))) / 2.0)
+
+
+def pinch_residual(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int, herm_basis) -> float:
+    """Largest Hermitian-basis coordinate of ``rho`` minus its pinching."""
+    diff = rho_mat - kron_cq_matrix(kets, basis_blocks(rho_mat, kets, da, db))
+    return float(np.max(np.abs(np.einsum("ij,kji->k", diff, herm_basis).real)))
+
+
+def measured_J(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int, s_b: float) -> float:
+    """``S(B) - sum_k p_k S(tau_k / p_k)`` outcome by outcome."""
+    out = s_b
+    for tau in basis_blocks(rho_mat, kets, da, db):
+        p = float(np.trace(tau).real)
+        if p > 1e-12:
+            out -= p * entropy_bits_oracle(tau / p)
+    return out
+
+
+def per_basis_dual_loop(rho_mat, kets, db, a0, iters):
+    """The certified bound's projected supergradient ascent at one basis,
+    one block at a time: ``(best gain, best effect)``."""
+    da = rho_mat.shape[0] // db
+    a = a0.copy()
+    best, best_a = -np.inf, a0
+    for it in range(iters):
+        aa = a.reshape(da, db, da, db)
+        top_val, top_k, top_phi = -np.inf, 0, None
+        for k in range(da):
+            w, u = np.linalg.eigh(np.einsum("a,abcd,c->bd", kets[k].conj(), aa, kets[k]))
+            if w[-1] > top_val:
+                top_val, top_k, top_phi = float(w[-1]), k, u[:, -1]
+        gain = float(np.real(np.trace(a @ rho_mat))) - top_val
+        if gain > best:
+            best, best_a = gain, a.copy()
+        witness = np.kron(
+            np.outer(kets[top_k], kets[top_k].conj()), np.outer(top_phi, top_phi.conj())
+        )
+        w, u = np.linalg.eigh(a + 0.3 / np.sqrt(it + 1.0) * (rho_mat - witness))
+        a = (u * np.clip(w, 0.0, 1.0)) @ u.conj().T
+    return best, best_a

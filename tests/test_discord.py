@@ -1,11 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import opdiscord as od
 from opdiscord.sampling import (
     random_cq_state,
     random_haar_basis,
+    random_pure_ket,
     random_density_matrix,
     random_entangled_pure,
     random_state,
@@ -499,3 +503,176 @@ class TestEntropicDiscord:
         gg = od.compose_theories(gbit, gbit)
         with pytest.raises(od.UnsupportedBackendError):
             od.mutual_information(random_state(gg, rng))
+
+
+class TestNonStatesRejected:
+    """A normalized but non-positive "state" has no discord to report."""
+
+    @pytest.fixture()
+    def non_psd(self, two_qubits):
+        rho = two_qubits.state_from_matrix(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+        assert rho.normalized
+        return rho
+
+    def test_discord(self, non_psd):
+        with pytest.raises(od.InvalidStateError, match="outside the state cone"):
+            od.discord(non_psd)
+
+    def test_is_null_discord(self, non_psd):
+        with pytest.raises(od.InvalidStateError):
+            od.is_null_discord(non_psd)
+
+    def test_distance_to_family(self, non_psd, qubit):
+        family = [qubit.state_from_matrix(dm(KET0)), qubit.state_from_matrix(dm(KET1))]
+        with pytest.raises(od.InvalidStateError):
+            od.distance_to_family(non_psd, family)
+
+    def test_entropic_discord(self, non_psd):
+        with pytest.raises(od.InvalidStateError):
+            od.quantum_discord_entropy(non_psd)
+
+
+# the stacked quantum kernel against its one-basis-at-a-time oracles
+
+kernel = importlib.import_module("opdiscord.discord")
+simpliciality = importlib.import_module("opdiscord.simpliciality")
+
+
+def _kernel_case(seed, da, db, count, kind, transposed):
+    """A state and ``count`` bases; the first basis is the computational
+    one, so cq states give empty blocks and entropies with dropped
+    eigenvalues there."""
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        rho = random_density_matrix(da * db, rng)
+    elif kind == "maximally entangled":  # blocks tie in the first basis
+        m = min(da, db)
+        ket = sum(np.kron(np.eye(da)[i], np.eye(db)[i]) for i in range(m)) / np.sqrt(m)
+        rho = np.outer(ket, ket).astype(complex)
+    elif kind == "pure":
+        ket = random_pure_ket(da * db, rng)
+        rho = np.outer(ket, ket.conj())
+    else:
+        weights = rng.dirichlet(np.ones(da))
+        weights[rng.integers(da)] = 0.0
+        weights /= weights.sum()
+        rho = sum(
+            w * np.kron(np.diag(np.eye(da)[k]).astype(complex), dm(random_pure_ket(db, rng)))
+            for k, w in enumerate(weights)
+        )
+    bases = np.stack([np.eye(da, dtype=complex)] + [random_haar_basis(da, rng) for _ in range(count - 1)])
+    if transposed:  # same values, the strides of a basis built as ``(U @ u0).T``
+        bases = np.ascontiguousarray(bases.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return rho, bases
+
+
+kernel_cases = st.builds(
+    _kernel_case,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, 7, 300]),
+    st.sampled_from(["ginibre", "pure", "cq", "maximally entangled"]),
+    st.booleans(),
+)
+
+
+class TestStackedKernel:
+    @settings(max_examples=30)
+    @given(kernel_cases)
+    def test_cq_matrix_and_blocks_match_kron_loop(self, case):
+        rho, bases = case
+        da = bases.shape[1]
+        db = rho.shape[0] // da
+        taus = kernel._blocks(rho, bases, da, db)
+        assert np.array_equal(taus, np.stack([oracles.basis_blocks(rho, b, da, db) for b in bases]))
+        assert np.array_equal(
+            kernel._cq_matrix(bases, taus),
+            np.stack([oracles.kron_cq_matrix(b, t) for b, t in zip(bases, taus)]),
+        )
+
+    @settings(max_examples=30)
+    @given(kernel_cases)
+    def test_pinch_distances_and_residuals_match_per_basis(self, case):
+        rho, bases = case
+        da = bases.shape[1]
+        db = rho.shape[0] // da
+        assert np.array_equal(
+            kernel._pinch_distances(rho, bases, da, db),
+            [oracles.pinch_distance(rho, b, da, db) for b in bases],
+        )
+        herm_basis = od.compose_theories(od.make_quantum(da), od.make_quantum(db)).herm_basis
+        assert np.array_equal(
+            kernel._pinch_residuals(rho, bases, da, db, herm_basis),
+            [oracles.pinch_residual(rho, b, da, db, herm_basis) for b in bases],
+        )
+
+    @settings(max_examples=30)
+    @given(kernel_cases)
+    def test_measured_J_matches_outcome_loop(self, case):
+        rho, bases = case
+        da = bases.shape[1]
+        db = rho.shape[0] // da
+        s_b = oracles.entropy_bits_oracle(oracles.partial_trace(rho, da, db, "B"))
+        assert np.array_equal(
+            kernel._measured_J(rho, bases, da, db, s_b),
+            [oracles.measured_J(rho, b, da, db, s_b) for b in bases],
+        )
+
+    @settings(max_examples=20)
+    @given(kernel_cases, st.integers(1, 12))
+    def test_certified_dual_matches_block_loop(self, case, iters):
+        rho, bases = case
+        db = rho.shape[0] // bases.shape[1]
+        a0 = np.eye(rho.shape[0], dtype=complex) / 2.0  # every block ties at the start
+        for kets in bases[:3]:
+            got = simpliciality._per_basis_dual(rho, kets, db, a0, iters)
+            expect = oracles.per_basis_dual_loop(rho, kets, db, a0, iters)
+            assert got[0] == expect[0]
+            assert np.array_equal(got[1], expect[1])
+            a0 = got[1]
+
+
+class TestMeasurementGrid:
+    def _cq_qutrit_qubit(self, seed):
+        return random_cq_state(od.compose_theories(od.make_quantum(3), od.make_quantum(2)),
+                               np.random.default_rng(seed))
+
+    def test_fixed_point_found_without_building_the_grid(self, monkeypatch):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the measurement grid was built")
+
+        monkeypatch.setattr(kernel, "_grid_bases", unbuilt)
+        for seed in range(5):
+            rho = self._cq_qutrit_qubit(seed)
+            basis = od.find_fixed_point_basis(rho)
+            assert basis is not None
+            assert od.check_vonneumann_fixed_point(rho, basis)
+
+    def test_grid_is_cached_and_read_only(self):
+        cfg = od.SearchConfig(grid_points=50)
+        grid = kernel._grid_bases(3, cfg)
+        assert grid.shape == (50, 3, 3) and not grid.flags.writeable
+        assert kernel._grid_bases(3, od.SearchConfig(grid_points=50)) is grid
+        assert kernel._grid_bases(3, cfg.with_seed(7)) is not grid
+        qubit_grid = kernel._grid_bases(2, cfg)
+        assert kernel._grid_bases(2, cfg.with_seed(7)) is qubit_grid
+
+    def test_grid_basis_returned_by_fixed_point_search_is_a_fresh_copy(self, two_qubits, monkeypatch):
+        cfg = od.SearchConfig(grid_points=40)
+        grid = kernel._grid_bases(2, cfg)
+        kets = grid[5]
+        mat = 0.3 * np.kron(dm(kets[0]), dm(KETP)) + 0.7 * np.kron(dm(kets[1]), dm(KET0))
+        # make the four direct candidates fail, so the grid step answers
+        monkeypatch.setattr(kernel, "check_vonneumann_fixed_point", lambda *args, **kwargs: False)
+        basis = od.find_fixed_point_basis(two_qubits.state_from_matrix(mat), cfg)
+        assert np.array_equal(basis, kets)
+        assert basis.flags.writeable and not np.shares_memory(basis, grid)
+
+    def test_grid_basis_returned_by_search_is_a_fresh_copy(self, bell_state):
+        cfg = od.SearchConfig(grid_points=40, restarts=0)
+        grid = kernel._grid_bases(2, cfg)
+        rep = od.quantum_discord_entropy(bell_state, cfg)
+        basis = rep.optimal_measurement
+        assert any(np.array_equal(basis, g) for g in grid)
+        assert basis.flags.writeable and not np.shares_memory(basis, grid)

@@ -80,6 +80,12 @@ class TestSerialization:
         with pytest.raises(od.InvalidStateError):
             resolve_theory("nonsense(3)")
 
+    def test_builtin_theories_are_built_once(self):
+        assert resolve_theory("qubit") is resolve_theory("quantum(2)")
+        assert resolve_theory("gbit") is resolve_theory("polygon(4)")
+        loaded = {"qubit": od.make_quantum(2)}
+        assert resolve_theory("qubit", loaded) is loaded["qubit"]
+
 
 @pytest.fixture()
 def state_files(tmp_path, classical2, two_qubits):
@@ -213,6 +219,23 @@ class TestCLI:
         )
         assert proc.returncode == 2
         assert "coordinates must be finite" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["discord", "null-check"])
+    def test_non_psd_state_file_exits_2(self, two_qubits, tmp_path, capsys, command):
+        rho = two_qubits.state_from_matrix(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+        path = write(tmp_path, "non_psd.json", state_to_obj(rho))
+        assert main([command, path]) == 2
+        assert "outside the state cone" in capsys.readouterr().err
+
+    def test_repeated_runs_share_the_theory_and_its_families(self, pentagon, rng, tmp_path):
+        from opdiscord.discrimination import _polytope_maximal_families
+
+        pp = od.compose_theories(pentagon, pentagon)
+        path = write(tmp_path, "p5.json", state_to_obj(random_state(pp, rng)))
+        _polytope_maximal_families.cache_clear()
+        for i in range(3):
+            assert main(["null-check", path, "--out", str(tmp_path / f"r{i}.json")]) == 0
+        assert _polytope_maximal_families.cache_info().misses == 1
 
     def test_exit_code_on_mismatched_systems(self, state_files, capsys):
         assert main(["distance", state_files["s0"], state_files["bell"]]) == 2
