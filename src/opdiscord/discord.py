@@ -33,6 +33,7 @@ from .discrimination import (
 )
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
 from .lp import OPTIMAL, solve_lp
+from .neldermead import lockstep
 from .theory import (
     POLYTOPE,
     QUANTUM,
@@ -303,7 +304,6 @@ def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     eigenvectors; a fully degenerate qubit marginal reduces to a grid
     over all bases.  Returns a ``(R, d, d)`` stack, possibly empty.
     """
-    out = []
     d = len(w)
     clusters = []
     start = 0
@@ -312,19 +312,24 @@ def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> np.ndarray:
             if i - start >= 2:
                 clusters.append((start, i))
             start = i
-    thetas = np.linspace(0.0, np.pi, ROTATION_GRID)
-    phis = np.linspace(-np.pi, np.pi, ROTATION_GRID, endpoint=False)
+    # the kets of _basis_from_angles for every (theta, phi), theta-major
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, np.pi, ROTATION_GRID),
+        np.linspace(-np.pi, np.pi, ROTATION_GRID, endpoint=False),
+        indexing="ij",
+    )
+    half, phase = theta / 2.0, np.exp(1j * phi)
+    k0 = np.stack([np.cos(half), np.sin(half) * phase], axis=-1)[..., None]
+    k1 = np.stack([np.sin(half), -np.cos(half) * phase], axis=-1)[..., None]
+    out = [np.empty((0, d, d), dtype=complex)]
     for lo, hi in clusters:
         for i in range(lo, hi - 1):
-            for theta in thetas:
-                for phi in phis:
-                    rot = _basis_from_angles(theta, phi)
-                    cols = u.copy()
-                    sub = u[:, [i, i + 1]]
-                    cols[:, i] = sub @ rot[0]
-                    cols[:, i + 1] = sub @ rot[1]
-                    out.append(cols.T)
-    return np.array(out, dtype=complex).reshape(-1, d, d)
+            cols = np.broadcast_to(u, theta.shape + (d, d)).astype(complex)
+            sub = u[:, [i, i + 1]]
+            cols[..., i] = (sub @ k0)[..., 0]
+            cols[..., i + 1] = (sub @ k1)[..., 0]
+            out.append(cols.swapaxes(-1, -2).reshape(-1, d, d))
+    return np.concatenate(out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -436,12 +441,6 @@ def _polytope_distance_to_family(
     return max(float(res.objective), 0.0), decomp, effect
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / np.sum(e)
-
-
 def _conditional_params_init(taus: np.ndarray, db: int) -> np.ndarray:
     qs = np.maximum(np.real(np.einsum("kii->k", taus)), 1e-12)
     parts = [np.log(qs)]
@@ -464,22 +463,28 @@ def _conditional_params_init(taus: np.ndarray, db: int) -> np.ndarray:
 
 
 def _taus_from_params(params: np.ndarray, k: int, db: int) -> np.ndarray:
-    qs = _softmax(params[:k])
-    taus = []
-    offset = k
-    per = 3 if db == 2 else 2 * db * db
-    for idx in range(k):
-        chunk = params[offset : offset + per]
-        offset += per
-        if db == 2:
-            sigma = herm.qubit_density(chunk)
-        else:
-            g = chunk[: db * db].reshape(db, db) + 1j * chunk[db * db :].reshape(db, db)
-            gram = g @ g.conj().T
-            tr = float(np.trace(gram).real)
-            sigma = gram / tr if tr > 1e-14 else np.eye(db, dtype=complex) / db
-        taus.append(qs[idx] * sigma)
-    return np.array(taus)
+    """Blocks ``q_k sigma_k`` for a stack of parameter rows, shape (S, k, db, db).
+
+    The weights are a softmax of the first ``k`` entries; each conditional
+    is a radially clipped Bloch vector (``db == 2``) or a normalized Gram
+    matrix ``g g^+`` (else ``I/db`` when its trace vanishes).  Each step
+    is the one-row form's, taken along the last axis, so every row equals
+    it bit for bit.
+    """
+    z = params[:, :k] - np.max(params[:, :k], axis=-1, keepdims=True)
+    e = np.exp(z)
+    qs = e / np.sum(e, axis=-1, keepdims=True)
+    chunks = params[:, k:].reshape(len(params), k, -1)
+    if db == 2:
+        sigma = herm.qubit_density(chunks)
+    else:
+        n = db * db
+        g = chunks[..., :n].reshape(-1, k, db, db) + 1j * chunks[..., n:].reshape(-1, k, db, db)
+        gram = g @ g.conj().swapaxes(-1, -2)
+        tr = np.trace(gram, axis1=-2, axis2=-1).real[..., None, None]
+        live = tr > 1e-14
+        sigma = np.where(live, gram / np.where(live, tr, 1.0), np.eye(db, dtype=complex) / db)
+    return qs[..., None, None] * sigma
 
 
 def _polish_conditionals(
@@ -491,31 +496,27 @@ def _polish_conditionals(
     n_starts: int = POLISH_STARTS,
 ) -> tuple[float, np.ndarray]:
     """Multi-start Nelder-Mead over weights and conditionals at a fixed
-    family, scoring with the exact operational distance."""
+    family, scoring with the exact operational distance.  The starts run
+    in lockstep: each round scores the pending point of every live start
+    in one stacked call."""
     k = len(kets)
     db = taus0[0].shape[0]
     x0 = _conditional_params_init(taus0, db)
 
-    def objective(params: np.ndarray) -> float:
-        counter[0] += 1
+    def score(params: np.ndarray) -> np.ndarray:
+        counter[0] += len(params)
         taus = _taus_from_params(params, k, db)
-        return float(_helstrom(rho_mat - _cq_matrix(kets[None], taus[None])[0]))
+        stacked_kets = np.broadcast_to(kets, (len(params),) + kets.shape)
+        return _helstrom(rho_mat - _cq_matrix(stacked_kets, taus))
 
-    best_val = objective(x0)
-    best_taus = _taus_from_params(x0, k, db)
+    best_val = float(score(x0[None])[0])
+    best_x = x0
     rng = np.random.default_rng(cfg.seed ^ 0xC0FFEE)
     starts = [x0] + [x0 + rng.normal(scale=0.3, size=x0.shape) for _ in range(n_starts - 1)]
-    for start in starts:
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.refine_iters, "xatol": 1e-9, "fatol": 1e-11},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_taus = _taus_from_params(res.x, k, db)
-    return best_val, best_taus
+    for x, fun in lockstep(starts, score, cfg.refine_iters, xatol=1e-9, fatol=1e-11):
+        if fun < best_val:
+            best_val, best_x = float(fun), x
+    return best_val, _taus_from_params(best_x[None], k, db)[0]
 
 
 def distance_to_family(

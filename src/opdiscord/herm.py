@@ -65,12 +65,18 @@ def bloch_projector(direction: np.ndarray) -> np.ndarray:
 
 
 def qubit_density(bloch: np.ndarray) -> np.ndarray:
-    """Qubit density matrix for a Bloch vector, radially clipped to the ball."""
+    """Qubit density matrices for Bloch vectors ``(..., 3)``, each radially
+    clipped to the ball, shape ``(..., 2, 2)``.  The norm is taken as the
+    matmul ``b . b``, which equals ``np.linalg.norm`` bit for bit."""
     b = np.asarray(bloch, dtype=float)
-    norm = np.linalg.norm(b)
-    if norm > 1.0:
-        b = b / norm
-    return (np.eye(2, dtype=complex) + b[0] * _PAULI_X + b[1] * _PAULI_Y + b[2] * _PAULI_Z) / 2.0
+    norm = np.sqrt(b[..., None, :] @ b[..., :, None])[..., 0]
+    b = b / np.where(norm > 1.0, norm, 1.0)
+    return (
+        np.eye(2, dtype=complex)
+        + b[..., 0, None, None] * _PAULI_X
+        + b[..., 1, None, None] * _PAULI_Y
+        + b[..., 2, None, None] * _PAULI_Z
+    ) / 2.0
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from .theory import (
     make_classical,
     make_polygon,
     make_quantum,
+    validate_state,
 )
 
 
@@ -173,7 +174,11 @@ def state_from_obj(obj: dict, loaded: dict[str, TheoryModel] | None = None) -> S
         raise InvalidStateError(
             f"state file has {coords.shape[0]} coords, expected {theory.dim}"
         )
-    return theory.state(coords)
+    # every CLI state file enters here: reject points outside the state cone
+    # (one LP on the polytope backend) before any command runs on them
+    state = theory.state(coords)
+    validate_state(state)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SearchConfig
-from .discord import _blocks, _cq_matrix, discord
+from .discord import discord
 from .sampling import random_state
 from .theory import (
     POLYTOPE,
@@ -84,11 +84,6 @@ def is_simplicial(theory: TheoryModel) -> SimplexReport:
 # certified lower bound (first factor a qubit)
 
 
-def _clip_effect(a: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(a)
-    return (u * np.clip(w, 0.0, 1.0)) @ u.conj().T
-
-
 def _kets_of_direction(direction: np.ndarray) -> np.ndarray:
     theta = np.arccos(np.clip(direction[2], -1.0, 1.0))
     phi = np.arctan2(direction[1], direction[0])
@@ -109,17 +104,23 @@ def _per_basis_dual(
     """
     dim = rho_mat.shape[0]
     da = dim // db
+    eigh, einsum = np.linalg.eigh, np.einsum
+    bras = kets.conj()
+    # proj[k, a, 0, c, 0] = <a|k><k|c>, shaped so that proj[k] * phi phi^+
+    # forms each entry of |k><k| (x) phi phi^+ as the product np.kron forms
+    proj = kets[:, :, None, None, None] * bras[:, None, None, :, None]
     a = a0.copy()
     best, best_a = -np.inf, a0
     for it in range(iters):
-        w, u = np.linalg.eigh(_blocks(a, kets[None], da, db)[0])
-        top = int(np.argmax(w[:, -1]))  # the first maximum, as a strict ">" scan keeps
-        gain = float(np.real(np.trace(a @ rho_mat))) - float(w[top, -1])
+        w, u = eigh(einsum("ka,abcd,kc->kbd", bras, a.reshape(da, db, da, db), kets))
+        top = int(w[:, -1].argmax())  # the first maximum, as a strict ">" scan keeps
+        gain = float((a @ rho_mat).trace().real) - float(w[top, -1])
         if gain > best:
             best, best_a = gain, a.copy()
         phi = u[top, :, -1]
-        witness = _cq_matrix(kets[None, top : top + 1], np.outer(phi, phi.conj())[None, None])[0]
-        a = _clip_effect(a + 0.3 / math.sqrt(it + 1.0) * (rho_mat - witness))
+        witness = (proj[top] * (phi[:, None] * phi.conj())[:, None, :]).reshape(dim, dim)
+        wc, uc = eigh(a + 0.3 / math.sqrt(it + 1.0) * (rho_mat - witness))
+        a = (uc * wc.clip(0.0, 1.0)) @ uc.conj().T
     return best, best_a
 
 

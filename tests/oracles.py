@@ -422,3 +422,101 @@ def per_basis_dual_loop(rho_mat, kets, db, a0, iters):
         w, u = np.linalg.eigh(a + 0.3 / np.sqrt(it + 1.0) * (rho_mat - witness))
         a = (u * np.clip(w, 0.0, 1.0)) @ u.conj().T
     return best, best_a
+
+
+# ---------------------------------------------------------------------------
+# one-row forms of the conditional polish and the fixed-point rotation grid
+#
+# The package polishes all starts in lockstep through a stacked objective
+# and builds the rotation grid for every angle at once; these are the
+# row-by-row and scipy-driven forms it replaced.
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    z = z - np.max(z)
+    e = np.exp(z)
+    return e / np.sum(e)
+
+
+def taus_from_params_row(params: np.ndarray, k: int, db: int) -> np.ndarray:
+    """Blocks ``q_k sigma_k`` of one parameter row, conditional by conditional."""
+    qs = softmax(params[:k])
+    taus = []
+    offset = k
+    per = 3 if db == 2 else 2 * db * db
+    for idx in range(k):
+        chunk = params[offset : offset + per]
+        offset += per
+        if db == 2:
+            sigma = _qubit_from_bloch(chunk)
+        else:
+            g = chunk[: db * db].reshape(db, db) + 1j * chunk[db * db :].reshape(db, db)
+            gram = g @ g.conj().T
+            tr = float(np.trace(gram).real)
+            sigma = gram / tr if tr > 1e-14 else np.eye(db, dtype=complex) / db
+        taus.append(qs[idx] * sigma)
+    return np.array(taus)
+
+
+def polish_conditionals_scipy(rho_mat, kets, x0, db, seed, refine_iters, n_starts=16):
+    """The multi-start polish as sequential ``scipy.optimize.minimize``
+    runs scoring one row per call: ``(value, blocks, evaluations)``."""
+    from scipy.optimize import minimize
+
+    k = len(kets)
+    count = [0]
+
+    def objective(params):
+        count[0] += 1
+        delta = rho_mat - kron_cq_matrix(kets, taus_from_params_row(params, k, db))
+        return float(np.sum(np.abs(np.linalg.eigvalsh(delta))) / 2.0)
+
+    best_val = objective(x0)
+    best_taus = taus_from_params_row(x0, k, db)
+    rng = np.random.default_rng(seed ^ 0xC0FFEE)
+    starts = [x0] + [x0 + rng.normal(scale=0.3, size=x0.shape) for _ in range(n_starts - 1)]
+    for start in starts:
+        res = minimize(
+            objective,
+            start,
+            method="Nelder-Mead",
+            options={"maxiter": refine_iters, "xatol": 1e-9, "fatol": 1e-11},
+        )
+        if res.fun < best_val:
+            best_val = float(res.fun)
+            best_taus = taus_from_params_row(res.x, k, db)
+    return best_val, best_taus, count[0]
+
+
+def _basis_from_angles(theta, phi):
+    half = theta / 2.0
+    k0 = np.array([np.cos(half), np.sin(half) * np.exp(1j * phi)])
+    k1 = np.array([np.sin(half), -np.cos(half) * np.exp(1j * phi)])
+    return np.stack([k0, k1])
+
+
+def degenerate_rotation_bases_loop(w, u, grid=24, gap=1e-8):
+    """Rotation bases inside each pair of nearly equal eigenvalues of a
+    marginal, one ``(theta, phi)`` at a time, stacked ``(R, d, d)``."""
+    out = []
+    d = len(w)
+    clusters = []
+    start = 0
+    for i in range(1, d + 1):
+        if i == d or w[i] - w[i - 1] > gap:
+            if i - start >= 2:
+                clusters.append((start, i))
+            start = i
+    thetas = np.linspace(0.0, np.pi, grid)
+    phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    for lo, hi in clusters:
+        for i in range(lo, hi - 1):
+            for theta in thetas:
+                for phi in phis:
+                    rot = _basis_from_angles(theta, phi)
+                    cols = u.copy()
+                    sub = u[:, [i, i + 1]]
+                    cols[:, i] = sub @ rot[0]
+                    cols[:, i + 1] = sub @ rot[1]
+                    out.append(cols.T)
+    return np.array(out, dtype=complex).reshape(-1, d, d)

@@ -676,3 +676,63 @@ class TestMeasurementGrid:
         basis = rep.optimal_measurement
         assert any(np.array_equal(basis, g) for g in grid)
         assert basis.flags.writeable and not np.shares_memory(basis, grid)
+
+
+# the lockstep polish and the stacked rotation grid against their row-by-row oracles
+
+
+@st.composite
+def param_stacks(draw):
+    """Parameter rows ``(S, P)`` for ``k`` blocks of size ``db``: Bloch
+    vectors inside and outside the ball, Gram factors of every scale,
+    some of them zero or with a trace below the ``1e-14`` floor."""
+    db, k = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
+    rows = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per = 3 if db == 2 else 2 * db * db
+    params = rng.normal(size=(rows, k + k * per)) * draw(st.sampled_from([0.3, 1.0, 5.0]))
+    chunks = params[:, k:].reshape(rows, k, per)
+    scale = rng.choice([0.0, 1e-9, 1.0], size=(rows, k))  # 1e-9 puts a Gram trace near 1e-17
+    chunks *= scale[..., None]
+    return params, k, db
+
+
+class TestLockstepPolish:
+    @settings(max_examples=60)
+    @given(param_stacks())
+    def test_stacked_taus_match_one_row_form(self, case):
+        params, k, db = case
+        got = kernel._taus_from_params(params, k, db)
+        expect = np.stack([oracles.taus_from_params_row(row, k, db) for row in params])
+        assert np.array_equal(got, expect)
+
+    @settings(max_examples=12)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([2, 3]),
+           st.sampled_from([1, 4, 15, 40]), st.sampled_from(["ginibre", "cq"]))
+    def test_polish_matches_sequential_scipy_runs(self, seed, da, db, iters, kind):
+        rho, bases = _kernel_case(seed, da, db, 2, kind, False)
+        kets = bases[1]
+        taus0 = kernel._blocks(rho, kets[None], da, db)[0]
+        cfg = od.SearchConfig(refine_iters=iters, seed=seed % 1000)
+        counter = [0]
+        value, taus = kernel._polish_conditionals(rho, kets, taus0, cfg, counter)
+        x0 = kernel._conditional_params_init(taus0, db)
+        expect_value, expect_taus, evaluations = oracles.polish_conditionals_scipy(
+            rho, kets, x0, db, cfg.seed, iters
+        )
+        assert value == expect_value
+        assert np.array_equal(taus, expect_taus)
+        assert counter[0] == evaluations
+
+
+class TestRotationGrid:
+    @settings(max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([
+        [0.5, 0.5], [0.3, 0.7], [0.2, 0.4, 0.4], [0.25, 0.25, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.1, 0.3, 0.6],
+    ]))
+    def test_stacked_grid_matches_angle_loop(self, seed, w):
+        u = random_haar_basis(len(w), np.random.default_rng(seed)).T
+        w = np.array(w)
+        got = kernel._degenerate_rotation_bases(w, u)
+        assert np.array_equal(got, oracles.degenerate_rotation_bases_loop(w, u))
+        assert got.shape[1:] == (len(w), len(w))

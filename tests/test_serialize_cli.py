@@ -227,6 +227,19 @@ class TestCLI:
         assert main([command, path]) == 2
         assert "outside the state cone" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["discord", "null-check", "distance"])
+    def test_polytope_point_outside_the_cone_exits_2(self, pentagon, tmp_path, capsys, command):
+        # normalized, but an affine rather than convex mix of product vertices
+        pp = od.compose_theories(pentagon, pentagon)
+        vertices = pp.pure_state_coords
+        path = write(tmp_path, "outside.json", {
+            "systems": ["polygon(5)", "polygon(5)"],
+            "coords": 2.5 * vertices[0] - 1.5 * vertices[7],
+        })
+        argv = [command, path, path] if command == "distance" else [command, path]
+        assert main(argv) == 2
+        assert "outside the state cone" in capsys.readouterr().err
+
     def test_repeated_runs_share_the_theory_and_its_families(self, pentagon, rng, tmp_path):
         from opdiscord.discrimination import _polytope_maximal_families
 
