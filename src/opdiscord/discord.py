@@ -8,11 +8,13 @@ state is its minimum operational distance to that set.
 Polytope backend: the family list is finite and each inner problem is
 an exact linear program, so the reported discord is exact.  Quantum
 backend: families form a continuum; a deterministic measurement grid
-plus local refinement produces an upper bound (flagged through the
-``converged`` metadata), with every reported value being the exact
-operational distance of the final candidate.  The quantum pipeline
-first runs the pinching fixed-point check, which recognizes
-classical-quantum states exactly.
+plus local refinement picks the measurement basis, the fixed-basis
+solver (``opdiscord.fixedbasis``) finds the best weights and conditionals
+at that basis to a stated primal-dual gap, and the result is an upper
+bound (flagged through the ``converged`` metadata), with every reported
+value being the exact operational distance of the final candidate.  The
+quantum pipeline first runs the pinching fixed-point check, which
+recognizes classical-quantum states exactly.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .discrimination import (
     maximal_distinguishable_pure_families,
 )
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
+from .fixedbasis import solve_fixed_basis
 from .lp import OPTIMAL, solve_lp
-from .neldermead import lockstep
 from .theory import (
     POLYTOPE,
     QUANTUM,
@@ -50,7 +52,6 @@ ZERO_WEIGHT_TOL = 1e-12
 FIXED_POINT_TOL = 1e-9
 DEGENERACY_GAP = 1e-8
 ROTATION_GRID = 24
-POLISH_STARTS = 16
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,6 @@ def _require_quantum_state(rho: StateVec) -> tuple[int, int]:
 # for bit; single-basis callers pass ``G = 1``.
 
 
-def _helstrom(delta: np.ndarray) -> np.ndarray:
-    """Half the trace norm of each matrix in the stack."""
-    return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1) / 2.0
-
-
 def _blocks(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int) -> np.ndarray:
     """Diagonal blocks ``tau_k = (<k| (x) I) rho (|k> (x) I)``, shape (G, K, db, db)."""
     rr = rho_mat.reshape(da, db, da, db)
@@ -184,7 +180,7 @@ def _pinch_deltas(rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int) -> n
 
 def _pinch_distances(rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int) -> np.ndarray:
     """Distance from ``rho`` to its pinching in each basis, shape (G,)."""
-    return _helstrom(_pinch_deltas(rho_mat, bases, da, db))
+    return herm.half_trace_norm(_pinch_deltas(rho_mat, bases, da, db))
 
 
 def _pinch_residuals(
@@ -243,11 +239,24 @@ def _kets_from_family(family: tuple[StateVec, ...]) -> np.ndarray:
     return kets
 
 
-def _basis_from_angles(theta: float, phi: float) -> np.ndarray:
-    half = theta / 2.0
-    k0 = np.array([np.cos(half), np.sin(half) * np.exp(1j * phi)])
-    k1 = np.array([np.sin(half), -np.cos(half) * np.exp(1j * phi)])
-    return np.stack([k0, k1])
+def _basis_from_angles(theta, phi) -> np.ndarray:
+    """The qubit basis (rows are kets) whose first ket has Bloch angles
+    ``(theta, phi)``; arrays of angles give a ``(..., 2, 2)`` stack."""
+    half, phase = np.divide(theta, 2.0), np.exp(1j * np.asarray(phi))
+    k0 = np.stack([np.cos(half), np.sin(half) * phase], axis=-1)
+    k1 = np.stack([np.sin(half), -np.cos(half) * phase], axis=-1)
+    return np.stack([k0, k1], axis=-2)
+
+
+def _angle_grid_bases(n_theta: int, n_phi: int) -> np.ndarray:
+    """Qubit bases on the latitude-longitude grid of ``n_theta`` polar
+    angles in ``[0, pi]`` and ``n_phi`` azimuths, theta-major, ``(G, 2, 2)``."""
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, np.pi, n_theta),
+        np.linspace(-np.pi, np.pi, n_phi, endpoint=False),
+        indexing="ij",
+    )
+    return _basis_from_angles(theta, phi).reshape(-1, 2, 2)
 
 
 def _angles_from_direction(direction: np.ndarray) -> tuple[float, float]:
@@ -312,23 +321,15 @@ def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> np.ndarray:
             if i - start >= 2:
                 clusters.append((start, i))
             start = i
-    # the kets of _basis_from_angles for every (theta, phi), theta-major
-    theta, phi = np.meshgrid(
-        np.linspace(0.0, np.pi, ROTATION_GRID),
-        np.linspace(-np.pi, np.pi, ROTATION_GRID, endpoint=False),
-        indexing="ij",
-    )
-    half, phase = theta / 2.0, np.exp(1j * phi)
-    k0 = np.stack([np.cos(half), np.sin(half) * phase], axis=-1)[..., None]
-    k1 = np.stack([np.sin(half), -np.cos(half) * phase], axis=-1)[..., None]
+    rot = _angle_grid_bases(ROTATION_GRID, ROTATION_GRID)
     out = [np.empty((0, d, d), dtype=complex)]
     for lo, hi in clusters:
         for i in range(lo, hi - 1):
-            cols = np.broadcast_to(u, theta.shape + (d, d)).astype(complex)
+            cols = np.broadcast_to(u, rot.shape[:1] + (d, d)).astype(complex)
             sub = u[:, [i, i + 1]]
-            cols[..., i] = (sub @ k0)[..., 0]
-            cols[..., i + 1] = (sub @ k1)[..., 0]
-            out.append(cols.swapaxes(-1, -2).reshape(-1, d, d))
+            cols[..., i] = (sub @ rot[:, 0, :, None])[..., 0]
+            cols[..., i + 1] = (sub @ rot[:, 1, :, None])[..., 0]
+            out.append(cols.swapaxes(-1, -2))
     return np.concatenate(out)
 
 
@@ -441,84 +442,6 @@ def _polytope_distance_to_family(
     return max(float(res.objective), 0.0), decomp, effect
 
 
-def _conditional_params_init(taus: np.ndarray, db: int) -> np.ndarray:
-    qs = np.maximum(np.real(np.einsum("kii->k", taus)), 1e-12)
-    parts = [np.log(qs)]
-    for tau, q in zip(taus, qs):
-        sigma = tau / q if q > ZERO_WEIGHT_TOL else np.eye(db, dtype=complex) / db
-        if db == 2:
-            bloch = np.array(
-                [
-                    np.real(sigma[0, 1] + sigma[1, 0]),
-                    np.real(1j * (sigma[0, 1] - sigma[1, 0])),
-                    np.real(sigma[0, 0] - sigma[1, 1]),
-                ]
-            )
-            parts.append(bloch)
-        else:
-            w, u = np.linalg.eigh(sigma)
-            g = u @ np.diag(np.sqrt(np.maximum(w, 0.0)))
-            parts.append(np.concatenate([g.real.ravel(), g.imag.ravel()]))
-    return np.concatenate(parts)
-
-
-def _taus_from_params(params: np.ndarray, k: int, db: int) -> np.ndarray:
-    """Blocks ``q_k sigma_k`` for a stack of parameter rows, shape (S, k, db, db).
-
-    The weights are a softmax of the first ``k`` entries; each conditional
-    is a radially clipped Bloch vector (``db == 2``) or a normalized Gram
-    matrix ``g g^+`` (else ``I/db`` when its trace vanishes).  Each step
-    is the one-row form's, taken along the last axis, so every row equals
-    it bit for bit.
-    """
-    z = params[:, :k] - np.max(params[:, :k], axis=-1, keepdims=True)
-    e = np.exp(z)
-    qs = e / np.sum(e, axis=-1, keepdims=True)
-    chunks = params[:, k:].reshape(len(params), k, -1)
-    if db == 2:
-        sigma = herm.qubit_density(chunks)
-    else:
-        n = db * db
-        g = chunks[..., :n].reshape(-1, k, db, db) + 1j * chunks[..., n:].reshape(-1, k, db, db)
-        gram = g @ g.conj().swapaxes(-1, -2)
-        tr = np.trace(gram, axis1=-2, axis2=-1).real[..., None, None]
-        live = tr > 1e-14
-        sigma = np.where(live, gram / np.where(live, tr, 1.0), np.eye(db, dtype=complex) / db)
-    return qs[..., None, None] * sigma
-
-
-def _polish_conditionals(
-    rho_mat: np.ndarray,
-    kets: np.ndarray,
-    taus0: np.ndarray,
-    cfg: SearchConfig,
-    counter: list[int],
-    n_starts: int = POLISH_STARTS,
-) -> tuple[float, np.ndarray]:
-    """Multi-start Nelder-Mead over weights and conditionals at a fixed
-    family, scoring with the exact operational distance.  The starts run
-    in lockstep: each round scores the pending point of every live start
-    in one stacked call."""
-    k = len(kets)
-    db = taus0[0].shape[0]
-    x0 = _conditional_params_init(taus0, db)
-
-    def score(params: np.ndarray) -> np.ndarray:
-        counter[0] += len(params)
-        taus = _taus_from_params(params, k, db)
-        stacked_kets = np.broadcast_to(kets, (len(params),) + kets.shape)
-        return _helstrom(rho_mat - _cq_matrix(stacked_kets, taus))
-
-    best_val = float(score(x0[None])[0])
-    best_x = x0
-    rng = np.random.default_rng(cfg.seed ^ 0xC0FFEE)
-    starts = [x0] + [x0 + rng.normal(scale=0.3, size=x0.shape) for _ in range(n_starts - 1)]
-    for x, fun in lockstep(starts, score, cfg.refine_iters, xatol=1e-9, fatol=1e-11):
-        if fun < best_val:
-            best_val, best_x = float(fun), x
-    return best_val, _taus_from_params(best_x[None], k, db)[0]
-
-
 def distance_to_family(
     rho: StateVec,
     family: list[StateVec],
@@ -527,11 +450,12 @@ def distance_to_family(
     """Minimum operational distance from ``rho`` to states decomposable
     over the given jointly-distinguishable pure family.
 
-    Exact (single LP) on the polytope backend; an upper bound from the
-    pinching optimum plus multi-start local refinement on the quantum
-    backend.
+    Exact (single LP) on the polytope backend.  On the quantum backend
+    the fixed-basis solver of ``opdiscord.fixedbasis`` runs to its
+    primal-dual gap, and the value is the exact distance to the returned
+    decomposition.  ``config`` is accepted for compatibility; no setting
+    changes the result.
     """
-    cfg = config or DEFAULT_CONFIG
     fa, fb = _require_bipartite(rho)
     family = tuple(family)
     if len(family) == 0:
@@ -554,10 +478,8 @@ def distance_to_family(
     da, db = _require_quantum_state(rho)
     kets = _kets_from_family(family)
     rho_mat = rho.matrix()
-    taus = _blocks(rho_mat, kets[None], da, db)[0]
-    counter = [0]
-    value, taus = _polish_conditionals(rho_mat, kets, taus, cfg, counter)
-    return value, _quantum_decomposition(rho.system, kets, taus)
+    solution = solve_fixed_basis(rho_mat, kets[None], db)
+    return float(solution.value[0]), _quantum_decomposition(rho.system, kets, solution.taus[0])
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +555,7 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
     if fixed is not None:
         taus = _blocks(rho_mat, fixed[None], da, db)[0]
         sigma = _cq_matrix(fixed[None], taus[None])[0]
-        value = float(_helstrom(rho_mat - sigma))
+        value = float(herm.half_trace_norm(rho_mat - sigma))
         counter[0] += 1
         return DiscordResult(
             value=value,
@@ -646,18 +568,16 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
     def pinch_objective(bases: np.ndarray) -> np.ndarray:
         return _pinch_distances(rho_mat, bases, da, db)
 
-    basis, value, success = _quantum_basis_search(rho_mat, da, db, cfg, pinch_objective, counter)
-    taus = _blocks(rho_mat, basis[None], da, db)[0]
+    basis, _, success = _quantum_basis_search(rho_mat, da, db, cfg, pinch_objective, counter)
 
-    # joint polish of conditionals (and implicitly the weights) at the
-    # winning basis; the family stays fixed, the value stays exact
-    polished_val, polished_taus = _polish_conditionals(rho_mat, basis, taus, cfg, counter)
-    if polished_val < value:
-        value, taus = polished_val, polished_taus
-
+    # the exact optimum over weights and conditionals at the winning basis,
+    # started from its pinching; the value is the distance to that point
+    solution = solve_fixed_basis(rho_mat, basis[None], db)
+    counter[0] += int(solution.iterations[0])
+    taus = solution.taus[0]
     sigma = _cq_matrix(basis[None], taus[None])[0]
     return DiscordResult(
-        value=max(float(value), 0.0),
+        value=max(float(solution.value[0]), 0.0),
         optimizer=_quantum_decomposition(ab, basis, taus),
         certificate_effect=_certificate_effect(ab, rho_mat - sigma),
         outer_evaluations=counter[0],

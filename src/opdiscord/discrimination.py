@@ -22,6 +22,7 @@ from .config import DEFAULT_CONFIG
 from .errors import InvalidStateError, ResourceBudgetError
 from .herm import bloch_projector, fibonacci_sphere
 from .lp import OPTIMAL, solve_lp
+from .sampling import random_haar_basis
 from .theory import (
     POLYTOPE,
     QUANTUM,
@@ -245,13 +246,7 @@ def haar_basis_sample(d: int, n: int, seed: int) -> list[np.ndarray]:
     """Deterministic Haar-random orthonormal bases, one (d, d) array each,
     rows are basis vectors."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
-        out.append(q.T.copy())
-    return out
+    return [random_haar_basis(d, rng) for _ in range(n)]
 
 
 def basis_family(theory: TheoryModel, basis: np.ndarray) -> tuple[StateVec, ...]:

@@ -58,25 +58,16 @@ def coords_to_mat(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", np.asarray(coords, dtype=float), basis)
 
 
+def half_trace_norm(delta: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each Hermitian matrix in the stack: the
+    Helstrom distance when ``delta`` is a difference of states."""
+    return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1) / 2.0
+
+
 def bloch_projector(direction: np.ndarray) -> np.ndarray:
     """Rank-one qubit projector ``(I + n.sigma)/2`` for a unit Bloch vector."""
     n = np.asarray(direction, dtype=float)
     return (np.eye(2, dtype=complex) + n[0] * _PAULI_X + n[1] * _PAULI_Y + n[2] * _PAULI_Z) / 2.0
-
-
-def qubit_density(bloch: np.ndarray) -> np.ndarray:
-    """Qubit density matrices for Bloch vectors ``(..., 3)``, each radially
-    clipped to the ball, shape ``(..., 2, 2)``.  The norm is taken as the
-    matmul ``b . b``, which equals ``np.linalg.norm`` bit for bit."""
-    b = np.asarray(bloch, dtype=float)
-    norm = np.sqrt(b[..., None, :] @ b[..., :, None])[..., 0]
-    b = b / np.where(norm > 1.0, norm, 1.0)
-    return (
-        np.eye(2, dtype=complex)
-        + b[..., 0, None, None] * _PAULI_X
-        + b[..., 1, None, None] * _PAULI_Y
-        + b[..., 2, None, None] * _PAULI_Z
-    ) / 2.0
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SearchConfig
-from .discord import discord
+from .discord import _angle_grid_bases, discord
+from .fixedbasis import solve_fixed_basis
 from .sampling import random_state
 from .theory import (
     POLYTOPE,
@@ -25,6 +26,7 @@ from .theory import (
     StateVec,
     TheoryModel,
     compose_theories,
+    validate_state,
 )
 
 RANK_TOL = 1e-9
@@ -84,76 +86,34 @@ def is_simplicial(theory: TheoryModel) -> SimplexReport:
 # certified lower bound (first factor a qubit)
 
 
-def _kets_of_direction(direction: np.ndarray) -> np.ndarray:
-    theta = np.arccos(np.clip(direction[2], -1.0, 1.0))
-    phi = np.arctan2(direction[1], direction[0])
-    k0 = np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
-    k1 = np.array([np.sin(theta / 2.0), -np.cos(theta / 2.0) * np.exp(1j * phi)])
-    return np.stack([k0, k1])
-
-
-def _per_basis_dual(
-    rho_mat: np.ndarray, kets: np.ndarray, db: int, a0: np.ndarray, iters: int
-) -> tuple[float, np.ndarray]:
-    """Lower bound on the exact distance to the fixed-basis block set.
-
-    At a fixed measurement basis the inner problem is convex, so
-    ``max_{0<=A<=I} Tr[A rho] - max_k lambda_max((<k| (x) I) A (|k> (x) I))``
-    attains it; every feasible iterate of the projected supergradient
-    ascent is a valid lower bound.
-    """
-    dim = rho_mat.shape[0]
-    da = dim // db
-    eigh, einsum = np.linalg.eigh, np.einsum
-    bras = kets.conj()
-    # proj[k, a, 0, c, 0] = <a|k><k|c>, shaped so that proj[k] * phi phi^+
-    # forms each entry of |k><k| (x) phi phi^+ as the product np.kron forms
-    proj = kets[:, :, None, None, None] * bras[:, None, None, :, None]
-    a = a0.copy()
-    best, best_a = -np.inf, a0
-    for it in range(iters):
-        w, u = eigh(einsum("ka,abcd,kc->kbd", bras, a.reshape(da, db, da, db), kets))
-        top = int(w[:, -1].argmax())  # the first maximum, as a strict ">" scan keeps
-        gain = float((a @ rho_mat).trace().real) - float(w[top, -1])
-        if gain > best:
-            best, best_a = gain, a.copy()
-        phi = u[top, :, -1]
-        witness = (proj[top] * (phi[:, None] * phi.conj())[:, None, :]).reshape(dim, dim)
-        wc, uc = eigh(a + 0.3 / math.sqrt(it + 1.0) * (rho_mat - witness))
-        a = (uc * wc.clip(0.0, 1.0)) @ uc.conj().T
-    return best, best_a
-
-
 def certified_discord_lower_bound(
     rho: StateVec, n_theta: int = 46, n_phi: int = 90, iters: int = 40
 ) -> float:
-    """A rigorous lower bound on the discord of a two-qubit state.
+    """A rigorous lower bound on the discord of a state with a qubit first factor.
 
     The distance to the fixed-basis block set is 1/2-Lipschitz in the
     Bloch angle of the measurement basis, so a latitude-longitude grid
     with spacing ``(dtheta, dphi)`` covers every basis within
     ``dtheta/2 + dphi/2``; subtracting ``sin(cover/2)`` from the minimum
-    per-basis dual value bounds the global minimum from below.
+    per-basis dual value bounds the global minimum from below.  The
+    per-basis duals come from one stacked run of the fixed-basis solver,
+    which is exact in one step for a qubit first factor.  ``iters`` is
+    accepted for compatibility and must be at least 1; no setting
+    changes the bound.
     """
     fa, fb = rho.system.factors
     if rho.system.backend != QUANTUM or fa.quantum_levels != 2:
         raise ValueError("certification is implemented for a qubit first factor")
-    db = fb.quantum_levels
-    rho_mat = rho.matrix()
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
+    if n_theta < 2 or n_phi < 1:
+        raise ValueError("the grid needs n_theta >= 2 and n_phi >= 1")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
+    validate_state(rho)
     cover = (np.pi / (n_theta - 1)) / 2.0 + (2.0 * np.pi / n_phi) / 2.0
     slack = math.sin(cover / 2.0)
-    a = rho_mat.copy()
-    worst = np.inf
-    for theta in thetas:
-        for phi in phis:
-            direction = np.array(
-                [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-            )
-            val, a = _per_basis_dual(rho_mat, _kets_of_direction(direction), db, a, iters)
-            worst = min(worst, val)
-    return float(worst - slack)
+    kets = _angle_grid_bases(n_theta, n_phi)
+    lower = solve_fixed_basis(rho.matrix(), kets, fb.quantum_levels).lower
+    return float(lower.min() - slack)
 
 
 # ---------------------------------------------------------------------------

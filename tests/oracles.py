@@ -424,12 +424,28 @@ def per_basis_dual_loop(rho_mat, kets, db, a0, iters):
     return best, best_a
 
 
+def certified_bound_loop(rho_mat, db, n_theta, n_phi, iters=40):
+    """The certified lower bound as it was computed before the fixed-basis
+    solver: ``per_basis_dual_loop`` over the latitude-longitude grid, one
+    basis at a time, each warm-started from the last basis's effect, minus
+    the grid's covering slack."""
+    a = rho_mat.copy()
+    worst = np.inf
+    for theta in np.linspace(0.0, np.pi, n_theta):
+        for phi in np.linspace(-np.pi, np.pi, n_phi, endpoint=False):
+            val, a = per_basis_dual_loop(rho_mat, _basis_from_angles(theta, phi), db, a, iters)
+            worst = min(worst, val)
+    cover = (np.pi / (n_theta - 1)) / 2.0 + (2.0 * np.pi / n_phi) / 2.0
+    return worst - np.sin(cover / 2.0)
+
+
 # ---------------------------------------------------------------------------
-# one-row forms of the conditional polish and the fixed-point rotation grid
+# the conditional polish, the fixed-point rotation grid and the Haar grid
 #
-# The package polishes all starts in lockstep through a stacked objective
-# and builds the rotation grid for every angle at once; these are the
-# row-by-row and scipy-driven forms it replaced.
+# The package once polished the conditionals with 16 Nelder-Mead starts;
+# the fixed-basis solver replaced that polish, which is kept here as the
+# reference its values are compared with.  The package builds the
+# rotation grid for every angle at once; these are the row-by-row forms.
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -456,6 +472,23 @@ def taus_from_params_row(params: np.ndarray, k: int, db: int) -> np.ndarray:
             sigma = gram / tr if tr > 1e-14 else np.eye(db, dtype=complex) / db
         taus.append(qs[idx] * sigma)
     return np.array(taus)
+
+
+def conditional_params_init(taus: np.ndarray, db: int) -> np.ndarray:
+    """The polish's start: log weights, then a Bloch vector (``db == 2``)
+    or a real-and-imaginary Gram factor per conditional."""
+    qs = np.maximum(np.real(np.einsum("kii->k", taus)), 1e-12)
+    parts = [np.log(qs)]
+    for tau, q in zip(taus, qs):
+        sigma = tau / q if q > 1e-12 else np.eye(db, dtype=complex) / db
+        if db == 2:
+            parts.append(np.real([sigma[0, 1] + sigma[1, 0], 1j * (sigma[0, 1] - sigma[1, 0]),
+                                  sigma[0, 0] - sigma[1, 1]]))
+        else:
+            w, u = np.linalg.eigh(sigma)
+            g = u @ np.diag(np.sqrt(np.maximum(w, 0.0)))
+            parts.append(np.concatenate([g.real.ravel(), g.imag.ravel()]))
+    return np.concatenate(parts)
 
 
 def polish_conditionals_scipy(rho_mat, kets, x0, db, seed, refine_iters, n_starts=16):
@@ -520,3 +553,52 @@ def degenerate_rotation_bases_loop(w, u, grid=24, gap=1e-8):
                     cols[:, i + 1] = sub @ rot[1]
                     out.append(cols.T)
     return np.array(out, dtype=complex).reshape(-1, d, d)
+
+
+def haar_basis_loop(d: int, n: int, seed: int) -> list[np.ndarray]:
+    """``n`` Haar-random bases (rows are kets) drawn one QR at a time from
+    one ``default_rng(seed)``: the qutrit measurement grid's source."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q, r = np.linalg.qr(g)
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
+        out.append(q.T.copy())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# closed forms for Bell-diagonal two-qubit states
+
+
+_BELL_KETS = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
+) / np.sqrt(2.0)  # Phi+, Phi-, Psi+, Psi-
+
+
+def bell_diagonal(weights) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture of Phi+, Phi-, Psi+ and Psi- with ``weights``, and its
+    correlation vector ``c_i = Tr[rho sigma_i (x) sigma_i]``."""
+    mat = sum(w * np.outer(k, k.conj()) for w, k in zip(weights, _BELL_KETS))
+    c = np.array([np.trace(mat @ np.kron(s, s)).real for s in (_SX, _SY, _SZ)])
+    return mat, c
+
+
+def bell_diagonal_discord(c) -> float:
+    """Operational discord ``1/2 median(|c_1|, |c_2|, |c_3|)``: the trace-norm
+    discord of Paula, de Oliveira & Sarandy, PRA 87, 064101 (2013), with
+    the Helstrom 1/2 of the operational distance."""
+    return 0.5 * float(np.median(np.abs(c)))
+
+
+def bell_diagonal_entropic_discord(mat, c) -> float:
+    """Luo, PRA 77, 042303 (2008): the mutual information
+    ``2 + sum_i lambda_i log2 lambda_i`` minus the classical correlation
+    ``((1 - c) log2(1 - c) + (1 + c) log2(1 + c)) / 2`` with ``c = max |c_i|``."""
+    lam = np.linalg.eigvalsh(mat)
+    lam = lam[lam > 1e-15]
+    info = 2.0 + float(np.sum(lam * np.log2(lam)))
+    cmax = float(np.max(np.abs(c)))
+    classical = sum(0.5 * x * np.log2(x) for x in (1.0 - cmax, 1.0 + cmax) if x > 0.0)
+    return info - classical

@@ -322,6 +322,36 @@ class TestDiscord:
         assert grid_value - lp_value <= 8 * (1.0 / 6.0) / 2.0
 
 
+class TestBellDiagonalClosedForms:
+    """Operational discord ``1/2 median |c_i|`` and Luo's entropic discord
+    of Bell-diagonal states, derived in ``tests/oracles.py``.  The search
+    value is the exact distance to a null-discord state, so it may not
+    fall below the closed form."""
+
+    @staticmethod
+    def _check(two_qubits, weights):
+        mat, c = oracles.bell_diagonal(weights)
+        rho = two_qubits.state_from_matrix(mat)
+        expect = oracles.bell_diagonal_discord(c)
+        value = od.discord(rho).value
+        assert expect - 1e-12 <= value <= expect + 1e-8
+        entropic = od.quantum_discord_entropy(rho).discord_value
+        assert abs(entropic - oracles.bell_diagonal_entropic_discord(mat, c)) <= 1e-8
+
+    @settings(max_examples=25)
+    @given(st.lists(st.integers(0, 50), min_size=4, max_size=4).filter(any))
+    def test_random_bell_diagonal(self, two_qubits, counts):
+        self._check(two_qubits, np.array(counts) / sum(counts))
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.5, 0.95, 1.0])
+    def test_werner_states(self, two_qubits, p):
+        self._check(two_qubits, [(1 - p) / 4] * 3 + [(1 + 3 * p) / 4])
+
+    @pytest.mark.parametrize("bell", range(4))
+    def test_bell_states(self, two_qubits, bell):
+        self._check(two_qubits, np.eye(4)[bell])
+
+
 class TestIsNullDiscord:
     def test_constructions_are_null(self, classical2, gbit, qubit, rng):
         cases = []
@@ -535,7 +565,6 @@ class TestNonStatesRejected:
 # the stacked quantum kernel against its one-basis-at-a-time oracles
 
 kernel = importlib.import_module("opdiscord.discord")
-simpliciality = importlib.import_module("opdiscord.simpliciality")
 
 
 def _kernel_case(seed, da, db, count, kind, transposed):
@@ -619,19 +648,6 @@ class TestStackedKernel:
             [oracles.measured_J(rho, b, da, db, s_b) for b in bases],
         )
 
-    @settings(max_examples=20)
-    @given(kernel_cases, st.integers(1, 12))
-    def test_certified_dual_matches_block_loop(self, case, iters):
-        rho, bases = case
-        db = rho.shape[0] // bases.shape[1]
-        a0 = np.eye(rho.shape[0], dtype=complex) / 2.0  # every block ties at the start
-        for kets in bases[:3]:
-            got = simpliciality._per_basis_dual(rho, kets, db, a0, iters)
-            expect = oracles.per_basis_dual_loop(rho, kets, db, a0, iters)
-            assert got[0] == expect[0]
-            assert np.array_equal(got[1], expect[1])
-            a0 = got[1]
-
 
 class TestMeasurementGrid:
     def _cq_qutrit_qubit(self, seed):
@@ -658,6 +674,11 @@ class TestMeasurementGrid:
         qubit_grid = kernel._grid_bases(2, cfg)
         assert kernel._grid_bases(2, cfg.with_seed(7)) is qubit_grid
 
+    @pytest.mark.parametrize("seed", [0x5EED, 7])
+    def test_qutrit_grid_is_the_seeded_haar_loop(self, seed):
+        grid = kernel._grid_stack(3, 200, seed)
+        assert np.array_equal(grid, np.array(oracles.haar_basis_loop(3, 200, seed)))
+
     def test_grid_basis_returned_by_fixed_point_search_is_a_fresh_copy(self, two_qubits, monkeypatch):
         cfg = od.SearchConfig(grid_points=40)
         grid = kernel._grid_bases(2, cfg)
@@ -678,51 +699,7 @@ class TestMeasurementGrid:
         assert basis.flags.writeable and not np.shares_memory(basis, grid)
 
 
-# the lockstep polish and the stacked rotation grid against their row-by-row oracles
-
-
-@st.composite
-def param_stacks(draw):
-    """Parameter rows ``(S, P)`` for ``k`` blocks of size ``db``: Bloch
-    vectors inside and outside the ball, Gram factors of every scale,
-    some of them zero or with a trace below the ``1e-14`` floor."""
-    db, k = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
-    rows = draw(st.integers(1, 20))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    per = 3 if db == 2 else 2 * db * db
-    params = rng.normal(size=(rows, k + k * per)) * draw(st.sampled_from([0.3, 1.0, 5.0]))
-    chunks = params[:, k:].reshape(rows, k, per)
-    scale = rng.choice([0.0, 1e-9, 1.0], size=(rows, k))  # 1e-9 puts a Gram trace near 1e-17
-    chunks *= scale[..., None]
-    return params, k, db
-
-
-class TestLockstepPolish:
-    @settings(max_examples=60)
-    @given(param_stacks())
-    def test_stacked_taus_match_one_row_form(self, case):
-        params, k, db = case
-        got = kernel._taus_from_params(params, k, db)
-        expect = np.stack([oracles.taus_from_params_row(row, k, db) for row in params])
-        assert np.array_equal(got, expect)
-
-    @settings(max_examples=12)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([2, 3]),
-           st.sampled_from([1, 4, 15, 40]), st.sampled_from(["ginibre", "cq"]))
-    def test_polish_matches_sequential_scipy_runs(self, seed, da, db, iters, kind):
-        rho, bases = _kernel_case(seed, da, db, 2, kind, False)
-        kets = bases[1]
-        taus0 = kernel._blocks(rho, kets[None], da, db)[0]
-        cfg = od.SearchConfig(refine_iters=iters, seed=seed % 1000)
-        counter = [0]
-        value, taus = kernel._polish_conditionals(rho, kets, taus0, cfg, counter)
-        x0 = kernel._conditional_params_init(taus0, db)
-        expect_value, expect_taus, evaluations = oracles.polish_conditionals_scipy(
-            rho, kets, x0, db, cfg.seed, iters
-        )
-        assert value == expect_value
-        assert np.array_equal(taus, expect_taus)
-        assert counter[0] == evaluations
+# the stacked rotation grid against its angle-by-angle oracle
 
 
 class TestRotationGrid:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import opdiscord as od
 from opdiscord.lp import lp_feasible
-from opdiscord.sampling import random_separable_state
+from opdiscord.sampling import random_density_matrix, random_separable_state
 from opdiscord.simpliciality import certified_discord_lower_bound
 
 import oracles
@@ -80,7 +81,8 @@ class TestFindWitness:
     def test_qubit_witness_certified(self, qubit):
         rep = od.find_witness(qubit)
         assert rep.found
-        assert rep.discord_lower_bound > 1e-3
+        assert rep.discord_lower_bound >= 0.15
+        assert rep.discord_lower_bound <= od.discord(rep.state).value
         assert "certified" in rep.construction
 
     def test_witness_states_are_separable_by_construction(self, gbit, rng):
@@ -113,11 +115,43 @@ class TestCertifiedLowerBound:
         upper = od.discord(rho).value
         assert 0.0 < lower <= upper + 1e-9
 
+    @settings(max_examples=8)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ginibre", "separable"]), st.sampled_from([2, 3]))
+    def test_bound_at_least_the_supergradient_bound_and_below_discord(self, seed, kind, db):
+        rng = np.random.default_rng(seed)
+        ab = od.compose_theories(od.make_quantum(2), od.make_quantum(db))
+        if kind == "ginibre":
+            rho = ab.state_from_matrix(random_density_matrix(2 * db, rng))
+        else:
+            rho = random_separable_state(ab, rng)
+        lower = certified_discord_lower_bound(rho, n_theta=6, n_phi=12)
+        assert lower >= oracles.certified_bound_loop(rho.matrix(), db, 6, 12) - 1e-12
+        assert lower <= od.discord(rho).value
+
     def test_cq_state_bound_nonpositive_message(self, two_qubits):
         mat = 0.5 * np.kron(dm(KET0), dm(KET0)) + 0.5 * np.kron(dm(KET1), dm(KET1))
         rho = two_qubits.state_from_matrix(mat)
         lower = certified_discord_lower_bound(rho, n_theta=12, n_phi=24, iters=25)
         assert lower <= 1e-9
+
+
+class TestCertifiedBoundRejectsBadInput:
+    def test_single_polar_row(self, bell_state):
+        with pytest.raises(ValueError, match="n_theta"):
+            certified_discord_lower_bound(bell_state, n_theta=1)
+
+    def test_no_azimuths(self, bell_state):
+        with pytest.raises(ValueError, match="n_phi"):
+            certified_discord_lower_bound(bell_state, n_phi=0)
+
+    def test_no_iterations(self, bell_state):
+        with pytest.raises(ValueError, match="iters"):
+            certified_discord_lower_bound(bell_state, iters=0)
+
+    def test_non_state(self, two_qubits):
+        non_psd = two_qubits.state_from_matrix(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+        with pytest.raises(od.InvalidStateError, match="outside the state cone"):
+            certified_discord_lower_bound(non_psd)
 
 
 class TestTheorem3Report:
