@@ -11,19 +11,20 @@ backend: families form a continuum; a deterministic measurement grid
 plus local refinement picks the measurement basis, the fixed-basis
 solver (``opdiscord.fixedbasis``) finds the best weights and conditionals
 at that basis to a stated primal-dual gap, and the result is an upper
-bound (flagged through the ``converged`` metadata), with every reported
-value being the exact operational distance of the final candidate.  The
-quantum pipeline first runs the pinching fixed-point check, which
-recognizes classical-quantum states exactly.
+bound over bases (``converged`` reports whether that gap closed), with
+every reported value being the exact operational distance of the final
+candidate.  The quantum pipeline first runs the pinching fixed-point
+check, which recognizes classical-quantum states exactly.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from . import herm
@@ -34,7 +35,7 @@ from .discrimination import (
     maximal_distinguishable_pure_families,
 )
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
-from .fixedbasis import solve_fixed_basis
+from .fixedbasis import gap_tolerance, solve_fixed_basis
 from .lp import OPTIMAL, solve_lp
 from .theory import (
     POLYTOPE,
@@ -98,6 +99,18 @@ class NullDiscordDecomposition:
 
 @dataclass(frozen=True)
 class DiscordResult:
+    """A discord value, the decomposition and effect that attain it.
+
+    ``converged`` is always True on the polytope backend, where the value
+    is exact.  On the quantum backend the value is an upper bound over
+    measurement bases; ``converged`` says whether the inner problem at
+    the reported basis was solved: True when the pinching fixed-point
+    check recognized a classical-quantum state, or when the fixed-basis
+    solver's primal-dual gap there is at most
+    ``fixedbasis.gap_tolerance(da)``.  It says nothing about whether
+    another basis does better.
+    """
+
     value: float
     optimizer: NullDiscordDecomposition
     certificate_effect: EffectVec
@@ -214,6 +227,90 @@ def _measured_J(
     for k in range(da):
         out = np.where(kept[:, k], out - p[:, k] * entropy[:, k], out)
     return out
+
+
+# One basis at a time, the refinement scores from the blocks
+# ``M_kl = (<k| (x) I) rho (|l> (x) I)`` alone: the pinching distance is
+# half the trace norm of ``rho`` with its diagonal blocks removed, which
+# for a qubit first factor is ``||M_01||_1``, and the entropic objective
+# needs only the diagonal blocks.  For ``db = 2`` that trace norm and the
+# blocks' eigenvalues come in closed form.
+
+
+def _block_rows(rho_mat: np.ndarray, da: int, db: int) -> np.ndarray:
+    """The blocks ``R_ac = (<a| (x) I) rho (|c> (x) I)`` of the computational
+    basis, flattened into one row per ``a``: ``(da, da*db*db)``."""
+    return rho_mat.reshape(da, db, da, db).swapaxes(1, 2).reshape(da, da * db * db)
+
+
+def _frame_blocks(r: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """All blocks ``M_kl`` of one basis (rows are kets), each flattened,
+    ``(da, da, db*db)``, from ``r = _block_rows(rho)``.  For the qubit
+    basis of ``_qubit_basis`` the off-diagonal block is
+    ``cs (R_00 - R_11) - c^2 e R_01 + s^2 e* R_10``."""
+    da = len(kets)
+    return kets @ (kets.conj() @ r).reshape(da, da, -1)
+
+
+def _qubit_basis(theta: float, phi: float) -> np.ndarray:
+    """``_basis_from_angles`` for one pair of angles, built from scalars:
+    the rows ``(c, s e)`` and ``(s, -c e)`` with ``c = cos theta/2``,
+    ``s = sin theta/2`` and ``e = exp(i phi)``.  Nelder-Mead calls it at
+    every point, where the stacked form costs several times more."""
+    c, s, e = math.cos(theta / 2.0), math.sin(theta / 2.0), cmath.exp(1j * phi)
+    return np.array([[c, s * e], [s, -c * e]])
+
+
+def _trace_norm(b: np.ndarray) -> float:
+    """Trace norm of one flattened square block: for 2 x 2 it is
+    ``sqrt(||b||_F^2 + 2 |det b|)``, else the sum of singular values."""
+    if len(b) == 4:
+        w, x, y, z = b.tolist()
+        frob = abs(w) ** 2 + abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2
+        return math.sqrt(frob + 2.0 * abs(w * z - x * y))
+    db = math.isqrt(len(b))
+    return float(np.sum(np.linalg.svd(b.reshape(db, db), compute_uv=False)))
+
+
+def _block_eigvalsh(tau: np.ndarray) -> list[float]:
+    """Eigenvalues of one flattened Hermitian block: for 2 x 2 they are
+    ``mean -+ hypot(half difference, |off-diagonal|)``."""
+    if len(tau) == 4:
+        a, b, _, d = tau.tolist()
+        mid, rad = (a.real + d.real) / 2.0, math.hypot((a.real - d.real) / 2.0, abs(b))
+        return [mid - rad, mid + rad]
+    db = math.isqrt(len(tau))
+    return np.linalg.eigvalsh(tau.reshape(db, db)).tolist()
+
+
+def _point_pinch_distance(m: np.ndarray) -> float:
+    """``_pinch_distances`` of the one basis whose blocks are ``m``."""
+    da = len(m)
+    if da == 2:
+        return _trace_norm(m[0, 1])
+    db = math.isqrt(m.shape[-1])
+    off = m.reshape(da, da, db, db).copy()
+    off[range(da), range(da)] = 0.0
+    return float(herm.half_trace_norm(off.swapaxes(1, 2).reshape(da * db, da * db)))
+
+
+def _point_measured_J(m: np.ndarray, s_b: float) -> float:
+    """``_measured_J`` of the one basis whose blocks are ``m``, with the
+    same outcome and eigenvalue cut-offs."""
+    out = s_b
+    for k in range(len(m)):
+        w = _block_eigvalsh(m[k, k])
+        p = sum(w)
+        if p > ZERO_WEIGHT_TOL:
+            w = [v / p for v in w if v / p > herm.ENTROPY_EIG_FLOOR]
+            out -= p * -sum(v * math.log2(v) for v in w)
+    return out
+
+
+def _expi(h: np.ndarray) -> np.ndarray:
+    """``exp(iH)`` of a Hermitian matrix, as ``V e^{i lambda} V^+`` from its ``eigh``."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def _marginal_a_matrix(rho_mat: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -491,29 +588,35 @@ def _quantum_basis_search(
     da: int,
     db: int,
     cfg: SearchConfig,
-    objective,
+    grid_objective,
+    point_objective,
     counter: list[int],
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[np.ndarray, float]:
     """Grid plus Nelder-Mead refinement over measurement bases.
 
-    ``objective`` maps a ``(G, da, da)`` stack of bases (rows are kets) to
-    ``G`` scores; the whole grid is scored in one call, then the best
-    ``cfg.restarts`` points seed local refinement, which scores one basis
-    per call.  Ties resolve to the lowest grid index.
+    ``grid_objective`` maps a ``(G, da, da)`` stack of bases (rows are
+    kets) to ``G`` scores with the stacked kernel; the whole grid is
+    scored in one call, and ties resolve to the lowest grid index.  The
+    best ``cfg.restarts`` points then seed one Nelder-Mead run each, over
+    the Bloch angles of the first ket for a qubit and over a Hermitian
+    generator ``H`` rotating the start basis by ``exp(iH)`` otherwise.
+    Each of its points is scored by ``point_objective`` from the blocks
+    ``M_kl`` of that one basis (``_frame_blocks``), which equals
+    ``grid_objective`` up to rounding at a fraction of its cost.
     """
     grid = _grid_bases(da, cfg)
     counter[0] += len(grid)
-    scores = objective(grid)
+    scores = grid_objective(grid)
     order = np.argsort(scores, kind="stable")
     best_idx = int(order[0])
     best_basis, best_val = grid[best_idx].copy(), float(scores[best_idx])
+    r = _block_rows(rho_mat, da, db)
 
     def score(basis: np.ndarray) -> float:
         counter[0] += 1
-        return float(objective(basis[None])[0])
+        return point_objective(_frame_blocks(r, basis))
 
-    success = False
-    hb = herm.hermitian_basis(da) if da > 2 else None
+    hb = herm.hermitian_basis(da).reshape(da * da, da * da) if da > 2 else None
     for idx in order[: cfg.restarts]:
         start_basis = grid[int(idx)]
         if da == 2:
@@ -523,13 +626,13 @@ def _quantum_basis_search(
             x0 = np.array([theta, phi])
 
             def basis_of(x):
-                return _basis_from_angles(x[0], x[1])
+                return _qubit_basis(*x.tolist())
         else:
             u0 = start_basis.T
             x0 = np.zeros(da * da)
 
             def basis_of(x):
-                return (expm(1j * np.einsum("k,kij->ij", x, hb)) @ u0).T
+                return (_expi((x @ hb).reshape(da, da)) @ u0).T
 
         res = minimize(
             lambda x: score(basis_of(x)),
@@ -541,8 +644,7 @@ def _quantum_basis_search(
         val = score(cand_basis)
         if val < best_val:
             best_val, best_basis = val, cand_basis
-        success = success or bool(res.success)
-    return best_basis, best_val, success
+    return best_basis, best_val
 
 
 def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
@@ -568,7 +670,7 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
     def pinch_objective(bases: np.ndarray) -> np.ndarray:
         return _pinch_distances(rho_mat, bases, da, db)
 
-    basis, _, success = _quantum_basis_search(rho_mat, da, db, cfg, pinch_objective, counter)
+    basis, _ = _quantum_basis_search(rho_mat, da, db, cfg, pinch_objective, _point_pinch_distance, counter)
 
     # the exact optimum over weights and conditionals at the winning basis,
     # started from its pinching; the value is the distance to that point
@@ -581,7 +683,7 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
         optimizer=_quantum_decomposition(ab, basis, taus),
         certificate_effect=_certificate_effect(ab, rho_mat - sigma),
         outer_evaluations=counter[0],
-        converged=success,
+        converged=bool(solution.value[0] - solution.lower[0] <= gap_tolerance(da)),
     )
 
 
@@ -677,11 +779,14 @@ def quantum_discord_entropy(rho: StateVec, config: SearchConfig | None = None) -
     s_a, s_b, s_ab, rho_mat, da, db = _entropies(rho)
     info = s_a + s_b - s_ab
 
-    def objective(bases: np.ndarray) -> np.ndarray:
+    def grid_objective(bases: np.ndarray) -> np.ndarray:
         return info - _measured_J(rho_mat, bases, da, db, s_b)
 
+    def point_objective(m: np.ndarray) -> float:
+        return info - _point_measured_J(m, s_b)
+
     counter = [0]
-    basis, best, _ = _quantum_basis_search(rho_mat, da, db, cfg, objective, counter)
+    basis, best = _quantum_basis_search(rho_mat, da, db, cfg, grid_objective, point_objective, counter)
     j_val = info - best
     return EntropyReport(
         S_A=s_a,

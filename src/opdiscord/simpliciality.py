@@ -270,11 +270,13 @@ def theorem3_report(
 
 
 def theorem3_rows_to_csv(rows: list[TheoremRow]) -> str:
-    lines = ["theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound,runtime_ms"]
+    """The rows as CSV.  ``runtime_ms`` is wall-clock time, so it is left
+    out and equal inputs give equal text."""
+    lines = ["theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound"]
     for r in rows:
         pure = "inf" if math.isinf(r.pure_count) else str(int(r.pure_count))
         lines.append(
             f"{r.theory},{r.dim},{pure},{str(r.is_simplex).lower()},"
-            f"{str(r.witness_found).lower()},{r.discord_lower_bound:.12g},{r.runtime_ms:.3f}"
+            f"{str(r.witness_found).lower()},{r.discord_lower_bound:.12g}"
         )
     return "\n".join(lines) + "\n"

@@ -400,6 +400,48 @@ def measured_J(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int, s_b: flo
     return out
 
 
+def quantum_basis_search_loop(objective, grid, herm_basis, restarts, refine_iters):
+    """The basis search as it was before its refinement scored points in
+    closed form: the grid scored basis by basis, then one Nelder-Mead run
+    from each of the best ``restarts`` points, each point a full basis
+    (Bloch angles for a qubit, ``expm(iH) u0`` otherwise) scored by
+    ``objective(kets)``.  Returns ``(basis, value)``."""
+    from scipy.linalg import expm
+    from scipy.optimize import minimize
+
+    scores = np.array([objective(b) for b in grid])
+    order = np.argsort(scores, kind="stable")
+    best_basis, best_val = grid[order[0]].copy(), float(scores[order[0]])
+    da = grid.shape[1]
+    for idx in order[:restarts]:
+        start = grid[idx]
+        if da == 2:
+            theta = 2.0 * np.arccos(np.clip(np.abs(start[0, 0]), 0.0, 1.0))
+            phi = float(np.angle(start[0, 1])) if abs(start[0, 1]) > 1e-12 else 0.0
+            x0 = np.array([theta, phi])
+
+            def basis_of(x):
+                return _basis_from_angles(x[0], x[1])
+        else:
+            u0 = start.T
+            x0 = np.zeros(da * da)
+
+            def basis_of(x):
+                return (expm(1j * np.einsum("k,kij->ij", x, herm_basis)) @ u0).T
+
+        res = minimize(
+            lambda x: objective(basis_of(x)),
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": refine_iters, "xatol": 1e-10, "fatol": 1e-12},
+        )
+        cand = basis_of(res.x)
+        val = objective(cand)
+        if val < best_val:
+            best_val, best_basis = val, cand
+    return best_basis, best_val
+
+
 def per_basis_dual_loop(rho_mat, kets, db, a0, iters):
     """The certified bound's projected supergradient ascent at one basis,
     one block at a time: ``(best gain, best effect)``."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import opdiscord as od
+from opdiscord.herm import hermitian_basis
 from opdiscord.sampling import (
     random_cq_state,
     random_haar_basis,
@@ -713,3 +714,125 @@ class TestRotationGrid:
         got = kernel._degenerate_rotation_bases(w, u)
         assert np.array_equal(got, oracles.degenerate_rotation_bases_loop(w, u))
         assert got.shape[1:] == (len(w), len(w))
+
+
+# the refinement's one-basis scores against the stacked kernel, and the
+# search against the refinement it replaced (kept in ``tests/oracles.py``)
+
+fixedbasis = importlib.import_module("opdiscord.fixedbasis")
+
+
+def _qubit_first_state(seed, db, kind):
+    rng = np.random.default_rng(seed)
+    n = 2 * db
+    if kind == "ginibre":
+        return random_density_matrix(n, rng)
+    if kind == "pure":
+        ket = random_pure_ket(n, rng)
+        return np.outer(ket, ket.conj())
+    if kind == "rank two":
+        kets = [random_pure_ket(n, rng) for _ in range(2)]
+        w = rng.uniform(0.1, 0.9)
+        return w * dm(kets[0]) + (1 - w) * dm(kets[1])
+    if kind == "cq":
+        basis = random_haar_basis(2, rng)
+        w = rng.dirichlet(np.ones(2))
+        return sum(w[k] * np.kron(dm(basis[k]), dm(random_pure_ket(db, rng))) for k in range(2))
+    # Bell-diagonal; on 2 (x) 3 the Bell kets sit in the first two levels
+    mat, _ = oracles.bell_diagonal(rng.dirichlet(np.ones(4)))
+    if db == 2:
+        return mat
+    embed = np.kron(np.eye(2), np.eye(3)[:, :2])
+    return embed @ mat @ embed.T
+
+
+angles = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi))
+
+
+class TestRefinementScores:
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from(["ginibre", "pure", "rank two", "cq", "bell-diagonal"]),
+        angles,
+        st.floats(-np.pi, np.pi),
+    )
+    def test_closed_forms_match_the_stacked_kernel(self, seed, db, kind, theta, phi):
+        rho = _qubit_first_state(seed, db, kind)
+        basis = kernel._qubit_basis(theta, phi)
+        assert_allclose(basis @ basis.conj().T, np.eye(2), atol=1e-15)
+        m = kernel._frame_blocks(kernel._block_rows(rho, 2, db), basis)
+        pinch = kernel._pinch_distances(rho, basis[None], 2, db)[0]
+        assert abs(kernel._point_pinch_distance(m) - pinch) <= 1e-13
+        s_b = oracles.entropy_bits_oracle(oracles.partial_trace(rho, 2, db, "B"))
+        measured = kernel._measured_J(rho, basis[None], 2, db, s_b)[0]
+        assert abs(kernel._point_measured_J(m, s_b) - measured) <= 1e-13
+
+    @settings(max_examples=30)
+    @given(kernel_cases)
+    def test_general_bases_match_the_stacked_kernel(self, case):
+        rho, bases = case
+        da = bases.shape[1]
+        db = rho.shape[0] // da
+        r = kernel._block_rows(rho, da, db)
+        s_b = oracles.entropy_bits_oracle(oracles.partial_trace(rho, da, db, "B"))
+        pinch = kernel._pinch_distances(rho, bases, da, db)
+        measured = kernel._measured_J(rho, bases, da, db, s_b)
+        for basis, want_pinch, want_j in zip(bases[:7], pinch, measured):
+            m = kernel._frame_blocks(r, basis)
+            assert abs(kernel._point_pinch_distance(m) - want_pinch) <= 1e-13
+            assert abs(kernel._point_measured_J(m, s_b) - want_j) <= 1e-13
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.floats(0.0, 6.0))
+    def test_eigh_exponential_matches_expm(self, seed, d, scale):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(seed)
+        h = np.einsum("k,kij->ij", scale * rng.normal(size=d * d), hermitian_basis(d))
+        u = kernel._expi(h)
+        assert np.max(np.abs(u - expm(1j * h))) <= 1e-13
+        assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-13
+
+
+class TestSearchAgainstOldRefinement:
+    @pytest.mark.parametrize("da", [2, 3])
+    @pytest.mark.parametrize("kind", ["ginibre", "rank two"])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_values_match(self, da, kind, seed):
+        rng = np.random.default_rng([seed, da])
+        if kind == "ginibre":
+            mat = random_density_matrix(2 * da, rng)
+        else:
+            kets = [random_pure_ket(2 * da, rng) for _ in range(2)]
+            mat = 0.6 * dm(kets[0]) + 0.4 * dm(kets[1])
+        rho = od.compose_theories(od.make_quantum(da), od.make_quantum(2)).state_from_matrix(mat)
+        cfg = od.SearchConfig(grid_points=60)
+        grid = kernel._grid_bases(da, cfg)
+        hb = hermitian_basis(da)
+
+        def search(objective):
+            return oracles.quantum_basis_search_loop(objective, grid, hb, cfg.restarts, cfg.refine_iters)
+
+        basis, _ = search(lambda b: oracles.pinch_distance(mat, b, da, 2))
+        old_value = max(float(fixedbasis.solve_fixed_basis(mat, basis[None], 2).value[0]), 0.0)
+        assert abs(od.discord(rho, cfg).value - old_value) <= 1e-12
+
+        rep = od.quantum_discord_entropy(rho, cfg)
+        info = rep.mutual_information
+        _, old_best = search(lambda b: info - oracles.measured_J(mat, b, da, 2, rep.S_B))
+        assert abs(rep.discord_value - max(old_best, 0.0)) <= 1e-12
+
+
+class TestConvergedFlag:
+    def test_set_from_the_gap_at_the_reported_basis(self, bell_state, monkeypatch):
+        rng = np.random.default_rng(5)
+        rho = od.compose_theories(od.make_quantum(3), od.make_quantum(2)).state_from_matrix(
+            random_density_matrix(6, rng)
+        )
+        cfg = od.SearchConfig(grid_points=60)
+        assert od.discord(rho, cfg).converged
+        monkeypatch.setattr(fixedbasis, "MAX_ITERS", 3)
+        assert not od.discord(rho, cfg).converged
+        assert od.discord(bell_state).converged

@@ -188,7 +188,7 @@ class TestCLI:
         assert rc == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2  # header + manifest comment
-        assert lines[0] == "theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound,runtime_ms"
+        assert lines[0] == "theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound"
 
     def test_custom_theory_file(self, tmp_path, pentagon, rng):
         tfile = write(tmp_path, "pent.json", theory_to_obj(pentagon))
@@ -272,11 +272,22 @@ class TestCLI:
         assert main(["discord", state_files["corr"]]) == 4
 
     def test_determinism_modulo_timestamps(self, state_files, tmp_path):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        main(["discord", state_files["corr"], "--seed", "42", "--out", str(out1)])
-        main(["discord", state_files["corr"], "--seed", "42", "--out", str(out2)])
-        strip = lambda t: re.sub(r'"(started|finished)": "[^"]*"', "", t)
-        assert strip(out1.read_text()) == strip(out2.read_text())
+        # the manifest's wall-clock fields are the only ones allowed to differ
+        strip = lambda t: re.sub(r'"(started|finished)": "[^"]*"|"row_runtime_ms": \[[^\]]*\]', "", t)
+        theorem3 = ["theorem3", "classical(2)", "gbit", "qubit", "--format"]
+        for argv in (
+            ["discord", state_files["corr"]],
+            ["discord", state_files["bell"]],
+            theorem3 + ["json"],
+            theorem3 + ["csv"],
+        ):
+            out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
+            assert main(argv + ["--seed", "42", "--out", str(out1)]) == 0
+            assert main(argv + ["--seed", "42", "--out", str(out2)]) == 0
+            text = out1.read_text()
+            assert strip(text) == strip(out2.read_text())
+            assert "runtime_ms" not in strip(text)
+            assert ('"row_runtime_ms"' in text) == (argv[0] == "theorem3")
 
     def test_emitted_json_reparses_to_same_values(self, state_files, tmp_path):
         out = tmp_path / "r.json"

@@ -168,10 +168,10 @@ class TestTheorem3Report:
         rows = od.theorem3_report([od.make_classical(2)], n_random=2)
         csv_text = od.theorem3_rows_to_csv(rows)
         lines = csv_text.strip().split("\n")
-        assert lines[0] == "theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound,runtime_ms"
-        assert lines[1].startswith("classical(2),2,2,true,false,0,")
+        assert lines[0] == "theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound"
+        assert lines[1] == "classical(2),2,2,true,false,0"
 
     def test_empty_list_gives_header_only(self):
         assert od.theorem3_rows_to_csv([]).strip().split("\n") == [
-            "theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound,runtime_ms"
+            "theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound"
         ]
