@@ -161,10 +161,11 @@ def _require_quantum_state(rho: StateVec) -> tuple[int, int]:
 
 
 # The quantum kernel works on stacks: bases ``(G, K, da)`` (rows are kets),
-# blocks ``(G, K, db, db)`` and matrices ``(G, da*db, da*db)``.  Each entry
-# is formed by the same floating-point operations as the one-basis-at-a-time
-# forms kept in ``tests/oracles.py``, so the stacked values equal theirs bit
-# for bit; single-basis callers pass ``G = 1``.
+# blocks ``(G, K, db, db)`` and matrices ``(G, da*db, da*db)``.
+# ``_blocks``, ``_cq_matrix`` and ``_pinch_residuals`` form each entry by
+# the same floating-point operations as the one-basis-at-a-time forms kept
+# in ``tests/oracles.py``, so they equal them bit for bit; single-basis
+# callers pass ``G = 1``.
 
 
 def _blocks(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -186,55 +187,24 @@ def _cq_matrix(kets: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pinch_deltas(rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int) -> np.ndarray:
-    """``rho`` minus its pinching in each basis, shape (G, da*db, da*db)."""
-    return rho_mat - _cq_matrix(bases, _blocks(rho_mat, bases, da, db))
-
-
-def _pinch_distances(rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Distance from ``rho`` to its pinching in each basis, shape (G,)."""
-    return herm.half_trace_norm(_pinch_deltas(rho_mat, bases, da, db))
-
-
 def _pinch_residuals(
     rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int, herm_basis: np.ndarray
 ) -> np.ndarray:
     """Largest Hermitian-basis coordinate of ``rho`` minus its pinching,
     per basis, shape (G,)."""
-    coords = np.einsum("gij,kji->gk", _pinch_deltas(rho_mat, bases, da, db), herm_basis)
+    delta = rho_mat - _cq_matrix(bases, _blocks(rho_mat, bases, da, db))
+    coords = np.einsum("gij,kji->gk", delta, herm_basis)
     return np.max(np.abs(coords.real), axis=-1)
 
 
-def _measured_J(
-    rho_mat: np.ndarray, bases: np.ndarray, da: int, db: int, s_b: float
-) -> np.ndarray:
-    """``S(B) - sum_k p_k S(tau_k / p_k)`` per basis, outcomes with
-    ``p_k <= ZERO_WEIGHT_TOL`` skipped, shape (G,)."""
-    taus = _blocks(rho_mat, bases, da, db)
-    p = np.trace(taus, axis1=-2, axis2=-1).real
-    kept = p > ZERO_WEIGHT_TOL
-    w = np.linalg.eigvalsh(taus / np.where(kept, p, 1.0)[..., None, None])
-    live = w > herm.ENTROPY_EIG_FLOOR
-    terms = w * np.log2(np.where(live, w, 1.0))
-    # eigenvalues ascend, so the live ones are a suffix of each row; sum
-    # each suffix on its own, as ``herm.entropy_bits`` sums the live ones
-    n_live = live.sum(axis=-1)
-    entropy = np.zeros(p.shape)
-    for n in np.unique(n_live[n_live > 0]):
-        rows = n_live == n
-        entropy[rows] = -np.sum(terms[rows][:, db - n :], axis=-1)
-    out = np.full(len(bases), s_b)
-    for k in range(da):
-        out = np.where(kept[:, k], out - p[:, k] * entropy[:, k], out)
-    return out
-
-
-# One basis at a time, the refinement scores from the blocks
-# ``M_kl = (<k| (x) I) rho (|l> (x) I)`` alone: the pinching distance is
-# half the trace norm of ``rho`` with its diagonal blocks removed, which
-# for a qubit first factor is ``||M_01||_1``, and the entropic objective
-# needs only the diagonal blocks.  For ``db = 2`` that trace norm and the
-# blocks' eigenvalues come in closed form.
+# The search scores a basis from its frame blocks
+# ``M_kl = (<k| (x) I) rho (|l> (x) I)`` alone, without building the
+# ``da*db`` pinched matrix: the pinching distance is half the trace norm
+# of ``rho`` with its diagonal blocks removed, which for a qubit first
+# factor is ``||M_01||_1``, and the entropic objective needs only the
+# diagonal blocks.  For ``db = 2`` that trace norm and the blocks'
+# eigenvalues come in closed form.  These scores equal the cq-matrix
+# forms kept in ``tests/oracles.py`` to rounding, not bit for bit.
 
 
 def _block_rows(rho_mat: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -243,68 +213,160 @@ def _block_rows(rho_mat: np.ndarray, da: int, db: int) -> np.ndarray:
     return rho_mat.reshape(da, db, da, db).swapaxes(1, 2).reshape(da, da * db * db)
 
 
-def _frame_blocks(r: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """All blocks ``M_kl`` of one basis (rows are kets), each flattened,
-    ``(da, da, db*db)``, from ``r = _block_rows(rho)``.  For the qubit
-    basis of ``_qubit_basis`` the off-diagonal block is
-    ``cs (R_00 - R_11) - c^2 e R_01 + s^2 e* R_10``."""
-    da = len(kets)
-    return kets @ (kets.conj() @ r).reshape(da, da, -1)
+def _block_between(r: np.ndarray, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """``(<bra| (x) I) rho (|ket> (x) I)`` flattened, ``(..., db*db)``, for
+    broadcastable stacks ``(..., da)`` of bras and kets (given as kets),
+    from ``r = _block_rows(rho)``: the coefficients ``<bra|a><c|ket>`` of
+    every block ``R_ac``, then one matmul."""
+    da = r.shape[0]
+    coef = bras.conj()[..., :, None] * kets[..., None, :]
+    return (coef.reshape(-1, da * da) @ r.reshape(da * da, -1)).reshape(coef.shape[:-2] + (-1,))
+
+
+def _frame_stack(r: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """All blocks ``M_kl`` of each basis in a stack ``(G, K, da)``,
+    ``(G, K, K, db*db)``."""
+    return _block_between(r, bases[:, :, None], bases[:, None])
+
+
+def _block_pinch_distances(r: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Distance from ``rho`` to its pinching in each basis, shape (G,):
+    half the trace norm of the off-diagonal blocks, which on 2 (x) 2 is
+    ``||M_01||_1 = sqrt(||M_01||_F^2 + 2|det M_01|)``."""
+    g, k, _ = bases.shape
+    db = math.isqrt(r.shape[1] // len(r))
+    if k == 2 and db == 2:
+        b = _block_between(r, bases[:, 0], bases[:, 1])
+        frob = np.sum(b.real**2 + b.imag**2, axis=-1)
+        return np.sqrt(frob + 2.0 * np.abs(b[:, 0] * b[:, 3] - b[:, 1] * b[:, 2]))
+    off = _frame_stack(r, bases).reshape(g, k, k, db, db)
+    off[:, range(k), range(k)] = 0.0
+    return herm.half_trace_norm(off.swapaxes(2, 3).reshape(g, k * db, k * db))
+
+
+def _off_diagonal_norms(r: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """``sqrt(sum_{k != l} ||M_kl||_F^2)`` per basis: the Frobenius norm
+    of ``rho`` minus its pinching, summed from the off-diagonal blocks
+    themselves (``||rho||^2 - sum_k ||tau_k||^2`` would cancel).  For a
+    qubit first factor ``M_10 = M_01^+``, so the sum is ``2 ||M_01||_F^2``:
+    one block instead of four (0.2 against 1.6 ms on 2576 bases, 2 vCPUs;
+    it halves the fixed-point search on a 2 (x) 2 state)."""
+    if bases.shape[1] == 2:
+        b = _block_between(r, bases[:, 0], bases[:, 1])
+        return np.sqrt(2.0 * np.sum(b.real**2 + b.imag**2, axis=-1))
+    m = _frame_stack(r, bases)
+    sq = np.sum(m.real**2 + m.imag**2, axis=-1)
+    return np.sqrt(np.sum(sq * (1.0 - np.eye(bases.shape[1])), axis=(-2, -1)))
+
+
+def _block_measured_J(r: np.ndarray, bases: np.ndarray, s_b: float) -> np.ndarray:
+    """``S(B) - sum_k p_k S(tau_k / p_k)`` per basis from the diagonal
+    blocks ``tau_k = M_kk``, shape (G,).  Outcomes with
+    ``p_k <= ZERO_WEIGHT_TOL`` are skipped, and normalized eigenvalues at
+    or below ``herm.ENTROPY_EIG_FLOOR`` add nothing."""
+    taus = _block_between(r, bases, bases)
+    db = math.isqrt(taus.shape[-1])
+    if db == 2:
+        a, d = taus[..., 0].real, taus[..., 3].real
+        mid, rad = (a + d) / 2.0, np.hypot((a - d) / 2.0, np.abs(taus[..., 1]))
+        w = np.stack([mid - rad, mid + rad], axis=-1)
+    else:
+        w = np.linalg.eigvalsh(taus.reshape(taus.shape[:-1] + (db, db)))
+    p = np.sum(w, axis=-1)
+    kept = p > ZERO_WEIGHT_TOL
+    w = w / np.where(kept, p, 1.0)[..., None]
+    w = np.where(w > herm.ENTROPY_EIG_FLOOR, w, 1.0)
+    entropy = -np.sum(w * np.log2(w), axis=-1)
+    return s_b - np.sum(np.where(kept, p * entropy, 0.0), axis=-1)
+
+
+# One point of the Nelder-Mead refinement at a time.  A qubit point is
+# scored from its angles with scalar arithmetic.  A qutrit point's
+# pinching distance is the stacked score of a stack of one, but its
+# entropic score reads the diagonal blocks as lists: on one 3 (x) 2 basis
+# numpy's per-call cost makes ``_block_measured_J`` twice as slow
+# (34 against 17 us, 2 vCPUs), enough to lengthen the benchmark's
+# latency tail, which the qutrit items set, by about a fifth.
+
+
+def _cse(theta: float, phi: float) -> tuple[float, float, complex]:
+    return math.cos(theta / 2.0), math.sin(theta / 2.0), cmath.exp(1j * phi)
 
 
 def _qubit_basis(theta: float, phi: float) -> np.ndarray:
     """``_basis_from_angles`` for one pair of angles, built from scalars:
     the rows ``(c, s e)`` and ``(s, -c e)`` with ``c = cos theta/2``,
-    ``s = sin theta/2`` and ``e = exp(i phi)``.  Nelder-Mead calls it at
-    every point, where the stacked form costs several times more."""
-    c, s, e = math.cos(theta / 2.0), math.sin(theta / 2.0), cmath.exp(1j * phi)
+    ``s = sin theta/2`` and ``e = exp(i phi)``."""
+    c, s, e = _cse(theta, phi)
     return np.array([[c, s * e], [s, -c * e]])
 
 
-def _trace_norm(b: np.ndarray) -> float:
+def _trace_norm(b: list[complex]) -> float:
     """Trace norm of one flattened square block: for 2 x 2 it is
     ``sqrt(||b||_F^2 + 2 |det b|)``, else the sum of singular values."""
     if len(b) == 4:
-        w, x, y, z = b.tolist()
+        w, x, y, z = b
         frob = abs(w) ** 2 + abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2
         return math.sqrt(frob + 2.0 * abs(w * z - x * y))
     db = math.isqrt(len(b))
-    return float(np.sum(np.linalg.svd(b.reshape(db, db), compute_uv=False)))
+    return float(np.sum(np.linalg.svd(np.reshape(b, (db, db)), compute_uv=False)))
 
 
-def _block_eigvalsh(tau: np.ndarray) -> list[float]:
+def _block_eigvalsh(tau: list[complex]) -> list[float]:
     """Eigenvalues of one flattened Hermitian block: for 2 x 2 they are
     ``mean -+ hypot(half difference, |off-diagonal|)``."""
     if len(tau) == 4:
-        a, b, _, d = tau.tolist()
+        a, b, _, d = tau
         mid, rad = (a.real + d.real) / 2.0, math.hypot((a.real - d.real) / 2.0, abs(b))
         return [mid - rad, mid + rad]
     db = math.isqrt(len(tau))
-    return np.linalg.eigvalsh(tau.reshape(db, db)).tolist()
+    return np.linalg.eigvalsh(np.reshape(tau, (db, db))).tolist()
 
 
-def _point_pinch_distance(m: np.ndarray) -> float:
-    """``_pinch_distances`` of the one basis whose blocks are ``m``."""
-    da = len(m)
-    if da == 2:
-        return _trace_norm(m[0, 1])
-    db = math.isqrt(m.shape[-1])
-    off = m.reshape(da, da, db, db).copy()
-    off[range(da), range(da)] = 0.0
-    return float(herm.half_trace_norm(off.swapaxes(1, 2).reshape(da * db, da * db)))
-
-
-def _point_measured_J(m: np.ndarray, s_b: float) -> float:
-    """``_measured_J`` of the one basis whose blocks are ``m``, with the
-    same outcome and eigenvalue cut-offs."""
+def _point_measured_J(taus, s_b: float) -> float:
+    """``_block_measured_J`` of one basis from its flattened diagonal
+    blocks ``taus`` (lists), with the same outcome and eigenvalue cut-offs;
+    for a basis ``(da, da)`` they are ``_block_between(r, basis, basis)``."""
     out = s_b
-    for k in range(len(m)):
-        w = _block_eigvalsh(m[k, k])
+    for tau in taus:
+        w = _block_eigvalsh(tau)
         p = sum(w)
         if p > ZERO_WEIGHT_TOL:
             w = [v / p for v in w if v / p > herm.ENTROPY_EIG_FLOOR]
             out -= p * -sum(v * math.log2(v) for v in w)
     return out
+
+
+def _qubit_pinch_distance(r: np.ndarray):
+    """The pinching distance at ``_qubit_basis(theta, phi)`` as a function
+    of the angles: the trace norm of
+    ``M_01 = cs (R_00 - R_11) - c^2 e R_01 + s^2 e* R_10``."""
+    r00, r01, r10, r11 = r.reshape(4, -1).tolist()
+    diff = [a - b for a, b in zip(r00, r11)]
+
+    def score(theta: float, phi: float) -> float:
+        c, s, e = _cse(theta, phi)
+        cs, c2e, s2e = c * s, c * c * e, s * s * e.conjugate()
+        return _trace_norm([cs * x - c2e * y + s2e * z for x, y, z in zip(diff, r01, r10)])
+
+    return score
+
+
+def _qubit_measured_J(r: np.ndarray, s_b: float):
+    """``_point_measured_J`` at ``_qubit_basis(theta, phi)`` as a function
+    of the angles, from ``M_00 = c^2 R_00 + s^2 R_11 + h`` and
+    ``M_11 = s^2 R_00 + c^2 R_11 - h`` with ``h = cs (e R_01 + e* R_10)``."""
+    r00, r01, r10, r11 = r.reshape(4, -1).tolist()
+
+    def score(theta: float, phi: float) -> float:
+        c, s, e = _cse(theta, phi)
+        cs, c2, s2, ec = c * s, c * c, s * s, e.conjugate()
+        h = [cs * (e * y + ec * z) for y, z in zip(r01, r10)]
+        m00 = [c2 * a + s2 * b + t for a, b, t in zip(r00, r11, h)]
+        m11 = [s2 * a + c2 * b - t for a, b, t in zip(r00, r11, h)]
+        return _point_measured_J((m00, m11), s_b)
+
+    return score
 
 
 def _expi(h: np.ndarray) -> np.ndarray:
@@ -389,15 +451,23 @@ def _certificate_effect(ab: TheoryModel, delta_mat: np.ndarray) -> EffectVec:
 # fixed-point (pinching) analysis
 
 
-def check_vonneumann_fixed_point(rho: StateVec, basis: np.ndarray, tol: float = FIXED_POINT_TOL) -> bool:
-    """Whether pinching in ``basis`` (rows are kets) leaves ``rho`` unchanged."""
-    da, db = _require_quantum_bipartite(rho)
+def _require_basis(basis, da: int) -> np.ndarray:
+    """``basis`` as a finite, orthonormal ``(da, da)`` array of kets (rows)."""
     basis = np.asarray(basis, dtype=complex)
     if basis.shape != (da, da):
         raise InvalidStateError(f"basis must be a ({da}, {da}) array of kets")
+    if not np.all(np.isfinite(basis)):
+        raise InvalidStateError("basis entries must be finite")
     gram = basis @ basis.conj().T
     if np.max(np.abs(gram - np.eye(da))) > 1e-8:
         raise InvalidStateError("basis is not orthonormal")
+    return basis
+
+
+def check_vonneumann_fixed_point(rho: StateVec, basis: np.ndarray, tol: float = FIXED_POINT_TOL) -> bool:
+    """Whether pinching in ``basis`` (rows are kets) leaves ``rho`` unchanged."""
+    da, db = _require_quantum_bipartite(rho)
+    basis = _require_basis(basis, da)
     residual = _pinch_residuals(rho.matrix(), basis[None], da, db, rho.system.herm_basis)[0]
     return bool(residual <= tol)
 
@@ -459,7 +529,8 @@ def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) ->
     grids inside degenerate marginal eigenspaces, and the measurement
     grid.  Returns the first basis passing the fixed-point check, or
     None when the budget is exhausted.  The two grids are built only
-    when the first four candidates fail.
+    when the first four candidates fail, and only their bases that pass
+    an exact Frobenius-norm filter get the full check.
     """
     cfg = config or DEFAULT_CONFIG
     da, db = _require_quantum_bipartite(rho)
@@ -481,11 +552,17 @@ def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) ->
         if check_vonneumann_fixed_point(rho, basis):
             return basis
 
-    # the rotation and measurement grids are built only once those fail,
-    # and checked in one stacked step
+    # The rotation and measurement grids are built only once those fail.
+    # ``herm_basis`` is orthonormal, so the coordinates of ``rho`` minus its
+    # pinching have Euclidean norm ``||delta||_F`` and the largest is at
+    # least ``||delta||_F / (da*db)``: a basis whose off-diagonal blocks
+    # are larger than that allows (twice, for rounding) cannot pass, and
+    # only the others get the exact check.
     stack = np.concatenate([_degenerate_rotation_bases(w, u), _grid_bases(da, cfg)])
-    residuals = _pinch_residuals(rho_mat, stack, da, db, rho.system.herm_basis)
-    passing = np.flatnonzero(residuals <= FIXED_POINT_TOL)
+    norms = _off_diagonal_norms(_block_rows(rho_mat, da, db), stack)
+    near = np.flatnonzero(norms <= 2.0 * da * db * FIXED_POINT_TOL)
+    residuals = _pinch_residuals(rho_mat, stack[near], da, db, rho.system.herm_basis)
+    passing = near[residuals <= FIXED_POINT_TOL]
     return stack[passing[0]].copy() if passing.size else None
 
 
@@ -584,37 +661,32 @@ def distance_to_family(
 
 
 def _quantum_basis_search(
-    rho_mat: np.ndarray,
-    da: int,
-    db: int,
+    r: np.ndarray,
     cfg: SearchConfig,
     grid_objective,
     point_objective,
     counter: list[int],
 ) -> tuple[np.ndarray, float]:
-    """Grid plus Nelder-Mead refinement over measurement bases.
+    """Grid plus Nelder-Mead refinement over measurement bases, for the
+    state whose blocks are ``r = _block_rows(rho)``.
 
     ``grid_objective`` maps a ``(G, da, da)`` stack of bases (rows are
-    kets) to ``G`` scores with the stacked kernel; the whole grid is
-    scored in one call, and ties resolve to the lowest grid index.  The
-    best ``cfg.restarts`` points then seed one Nelder-Mead run each, over
-    the Bloch angles of the first ket for a qubit and over a Hermitian
-    generator ``H`` rotating the start basis by ``exp(iH)`` otherwise.
-    Each of its points is scored by ``point_objective`` from the blocks
-    ``M_kl`` of that one basis (``_frame_blocks``), which equals
-    ``grid_objective`` up to rounding at a fraction of its cost.
+    kets) to ``G`` scores; the whole grid is scored in one call,
+    and ties resolve to the lowest grid index.  The best ``cfg.restarts``
+    points then seed one Nelder-Mead run each, over the Bloch angles of
+    the first ket for a qubit and over a Hermitian generator ``H``
+    rotating the start basis by ``exp(iH)`` otherwise.  Each of its points
+    is scored by ``point_objective``: from the angles ``(theta, phi)`` of
+    ``_qubit_basis`` for a qubit, else from that one basis.  Both equal
+    ``grid_objective`` up to rounding.
     """
+    da = len(r)
     grid = _grid_bases(da, cfg)
     counter[0] += len(grid)
     scores = grid_objective(grid)
     order = np.argsort(scores, kind="stable")
     best_idx = int(order[0])
     best_basis, best_val = grid[best_idx].copy(), float(scores[best_idx])
-    r = _block_rows(rho_mat, da, db)
-
-    def score(basis: np.ndarray) -> float:
-        counter[0] += 1
-        return point_objective(_frame_blocks(r, basis))
 
     hb = herm.hermitian_basis(da).reshape(da * da, da * da) if da > 2 else None
     for idx in order[: cfg.restarts]:
@@ -627,6 +699,9 @@ def _quantum_basis_search(
 
             def basis_of(x):
                 return _qubit_basis(*x.tolist())
+
+            def value_at(x):
+                return point_objective(*x.tolist())
         else:
             u0 = start_basis.T
             x0 = np.zeros(da * da)
@@ -634,16 +709,22 @@ def _quantum_basis_search(
             def basis_of(x):
                 return (_expi((x @ hb).reshape(da, da)) @ u0).T
 
+            def value_at(x):
+                return point_objective(basis_of(x))
+
+        def score(x):
+            counter[0] += 1
+            return value_at(x)
+
         res = minimize(
-            lambda x: score(basis_of(x)),
+            score,
             x0,
             method="Nelder-Mead",
             options={"maxiter": cfg.refine_iters, "xatol": 1e-10, "fatol": 1e-12},
         )
-        cand_basis = basis_of(res.x)
-        val = score(cand_basis)
+        val = score(res.x)
         if val < best_val:
-            best_val, best_basis = val, cand_basis
+            best_val, best_basis = val, basis_of(res.x)
     return best_basis, best_val
 
 
@@ -667,10 +748,15 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
             converged=True,
         )
 
-    def pinch_objective(bases: np.ndarray) -> np.ndarray:
-        return _pinch_distances(rho_mat, bases, da, db)
+    r = _block_rows(rho_mat, da, db)
+    if da == 2:
+        point = _qubit_pinch_distance(r)
+    else:
 
-    basis, _ = _quantum_basis_search(rho_mat, da, db, cfg, pinch_objective, _point_pinch_distance, counter)
+        def point(b: np.ndarray) -> float:
+            return float(_block_pinch_distances(r, b[None])[0])
+
+    basis, _ = _quantum_basis_search(r, cfg, functools.partial(_block_pinch_distances, r), point, counter)
 
     # the exact optimum over weights and conditionals at the winning basis,
     # started from its pinching; the value is the distance to that point
@@ -761,15 +847,10 @@ def mutual_information(rho: StateVec) -> float:
 def conditional_J(rho: StateVec, basis: np.ndarray) -> float:
     """``S(B) - sum_i p_i S(B | outcome i)`` for a von Neumann measurement."""
     da, db = _require_quantum_state(rho)
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (da, da):
-        raise InvalidStateError(f"basis must be a ({da}, {da}) array of kets")
-    gram = basis @ basis.conj().T
-    if np.max(np.abs(gram - np.eye(da))) > 1e-8:
-        raise InvalidStateError("basis is not orthonormal")
+    basis = _require_basis(basis, da)
     rho_mat = rho.matrix()
     s_b = herm.entropy_bits(_marginal_b_matrix(rho_mat, da, db))
-    return float(_measured_J(rho_mat, basis[None], da, db, s_b)[0])
+    return float(_block_measured_J(_block_rows(rho_mat, da, db), basis[None], s_b)[0])
 
 
 def quantum_discord_entropy(rho: StateVec, config: SearchConfig | None = None) -> EntropyReport:
@@ -779,14 +860,22 @@ def quantum_discord_entropy(rho: StateVec, config: SearchConfig | None = None) -
     s_a, s_b, s_ab, rho_mat, da, db = _entropies(rho)
     info = s_a + s_b - s_ab
 
+    r = _block_rows(rho_mat, da, db)
+
     def grid_objective(bases: np.ndarray) -> np.ndarray:
-        return info - _measured_J(rho_mat, bases, da, db, s_b)
+        return info - _block_measured_J(r, bases, s_b)
 
-    def point_objective(m: np.ndarray) -> float:
-        return info - _point_measured_J(m, s_b)
+    if da == 2:
+        measured = _qubit_measured_J(r, s_b)
+    else:
 
-    counter = [0]
-    basis, best = _quantum_basis_search(rho_mat, da, db, cfg, grid_objective, point_objective, counter)
+        def measured(b: np.ndarray) -> float:
+            return _point_measured_J(_block_between(r, b, b).tolist(), s_b)
+
+    def point_objective(*x) -> float:
+        return info - measured(*x)
+
+    basis, best = _quantum_basis_search(r, cfg, grid_objective, point_objective, [0])
     j_val = info - best
     return EntropyReport(
         S_A=s_a,

@@ -400,6 +400,29 @@ def measured_J(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int, s_b: flo
     return out
 
 
+def fixed_point_basis_loop(rho_mat, da, db, herm_basis, grid, seed, direct=True, tol=1e-9):
+    """The fixed-point search without its Frobenius filter: the marginal
+    eigenbasis and three conditional-compression eigenbases (unless
+    ``direct`` is False), then the degenerate rotation bases and ``grid``,
+    each checked with the full ``pinch_residual`` in turn.  Returns the
+    first basis that passes, or None."""
+    rr = rho_mat.reshape(da, db, da, db)
+    w, u = np.linalg.eigh(np.einsum("abcb->ac", rr))
+    candidates = []
+    if direct:
+        candidates.append(u.T.copy())
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            phi = rng.normal(size=db) + 1j * rng.normal(size=db)
+            phi /= np.linalg.norm(phi)
+            candidates.append(np.linalg.eigh(np.einsum("abcd,b,d->ac", rr, phi.conj(), phi))[1].T.copy())
+    candidates += list(degenerate_rotation_bases_loop(w, u)) + list(grid)
+    for basis in candidates:
+        if pinch_residual(rho_mat, basis, da, db, herm_basis) <= tol:
+            return basis
+    return None
+
+
 def quantum_basis_search_loop(objective, grid, herm_basis, restarts, refine_iters):
     """The basis search as it was before its refinement scored points in
     closed form: the grid scored basis by basis, then one Nelder-Mead run

@@ -447,6 +447,17 @@ class TestFixedPoint:
         with pytest.raises(od.InvalidStateError):
             od.check_vonneumann_fixed_point(bell_state, np.stack([KET0, KETP]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["all", "one"])
+    def test_non_finite_basis_rejected(self, bell_state, bad, where):
+        # the orthonormality test alone reads False on NaN
+        basis = np.full((2, 2), bad, dtype=complex) if where == "all" else np.stack([KET0, KET1])
+        if where == "one":
+            basis[1, 1] = bad
+        for check in (od.check_vonneumann_fixed_point, od.conditional_J):
+            with pytest.raises(od.InvalidStateError, match="finite"):
+                check(bell_state, basis)
+
     def test_find_basis_distinct_weights(self, two_qubits):
         mat = 0.3 * np.kron(dm(KET0), dm(KETP)) + 0.7 * np.kron(dm(KET1), dm(KET0))
         basis = od.find_fixed_point_basis(two_qubits.state_from_matrix(mat))
@@ -624,13 +635,14 @@ class TestStackedKernel:
     @settings(max_examples=30)
     @given(kernel_cases)
     def test_pinch_distances_and_residuals_match_per_basis(self, case):
+        # the frame-block distances equal the cq-matrix form to rounding;
+        # the residuals keep that form and equal it bit for bit
         rho, bases = case
         da = bases.shape[1]
         db = rho.shape[0] // da
-        assert np.array_equal(
-            kernel._pinch_distances(rho, bases, da, db),
-            [oracles.pinch_distance(rho, b, da, db) for b in bases],
-        )
+        r = kernel._block_rows(rho, da, db)
+        want = [oracles.pinch_distance(rho, b, da, db) for b in bases]
+        assert np.max(np.abs(kernel._block_pinch_distances(r, bases) - want)) <= 1e-13
         herm_basis = od.compose_theories(od.make_quantum(da), od.make_quantum(db)).herm_basis
         assert np.array_equal(
             kernel._pinch_residuals(rho, bases, da, db, herm_basis),
@@ -644,10 +656,27 @@ class TestStackedKernel:
         da = bases.shape[1]
         db = rho.shape[0] // da
         s_b = oracles.entropy_bits_oracle(oracles.partial_trace(rho, da, db, "B"))
-        assert np.array_equal(
-            kernel._measured_J(rho, bases, da, db, s_b),
-            [oracles.measured_J(rho, b, da, db, s_b) for b in bases],
-        )
+        got = kernel._block_measured_J(kernel._block_rows(rho, da, db), bases, s_b)
+        want = [oracles.measured_J(rho, b, da, db, s_b) for b in bases]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @settings(max_examples=30)
+    @given(kernel_cases)
+    def test_off_diagonal_norm_bounds_the_residual(self, case):
+        # the fixed-point filter: the largest of the D^2 orthonormal
+        # coordinates of delta = rho - pinching lies in [||delta||_F / D, ||delta||_F]
+        rho, bases = case
+        da = bases.shape[1]
+        db = rho.shape[0] // da
+        herm_basis = od.compose_theories(od.make_quantum(da), od.make_quantum(db)).herm_basis
+        norms = kernel._off_diagonal_norms(kernel._block_rows(rho, da, db), bases)
+        for basis, norm in zip(bases, norms):
+            delta = rho - oracles.kron_cq_matrix(basis, oracles.basis_blocks(rho, basis, da, db))
+            frob = np.linalg.norm(delta)
+            assert abs(norm - frob) <= 1e-14
+            residual = oracles.pinch_residual(rho, basis, da, db, herm_basis)
+            assert frob / (da * db) <= residual + 1e-15
+            assert residual <= frob + 1e-15
 
 
 class TestMeasurementGrid:
@@ -698,6 +727,55 @@ class TestMeasurementGrid:
         basis = rep.optimal_measurement
         assert any(np.array_equal(basis, g) for g in grid)
         assert basis.flags.writeable and not np.shares_memory(basis, grid)
+
+
+# the fixed-point search behind its Frobenius filter against the search
+# that checks every basis in full (kept in ``tests/oracles.py``)
+
+
+def _fixed_point_case(seed, da, kind, grid):
+    """A state on ``da (x) 2``: cq in a grid basis (distinct or equal
+    weights), the same mixed with a little noise, a product with the
+    maximally mixed marginal, or a Ginibre state."""
+    rng = np.random.default_rng([seed, da])
+    kets = grid[rng.integers(len(grid))]
+    weights = np.full(da, 1.0 / da) if kind == "degenerate cq" else rng.dirichlet(np.ones(da))
+    cq = sum(w * np.kron(dm(k), random_density_matrix(2, rng)) for w, k in zip(weights, kets))
+    if kind == "near cq":  # ||delta||_F below, near and above the filter's threshold
+        eps = (1e-9, 4e-9, 1e-8)[seed % 3]
+        return (1.0 - eps) * cq + eps * random_density_matrix(2 * da, rng)
+    if kind == "maximally mixed marginal":
+        return np.kron(np.eye(da) / da, random_density_matrix(2, rng))
+    if kind == "discordant":
+        return random_density_matrix(2 * da, rng)
+    return cq
+
+
+class TestFixedPointFilter:
+    @pytest.mark.parametrize("da", [2, 3])
+    @pytest.mark.parametrize(
+        "kind", ["cq", "degenerate cq", "near cq", "maximally mixed marginal", "discordant"]
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("direct", [True, False])
+    def test_matches_the_unfiltered_search(self, da, kind, seed, direct, monkeypatch):
+        cfg = od.SearchConfig(grid_points=40, seed=seed)
+        grid = kernel._grid_bases(da, cfg)
+        mat = _fixed_point_case(seed, da, kind, grid)
+        rho = od.compose_theories(od.make_quantum(da), od.make_quantum(2)).state_from_matrix(mat)
+        if not direct:  # make the four direct candidates fail, so the grids answer
+            monkeypatch.setattr(kernel, "check_vonneumann_fixed_point", lambda *args, **kwargs: False)
+        got = od.find_fixed_point_basis(rho, cfg)
+        want = oracles.fixed_point_basis_loop(
+            rho.matrix(), da, 2, rho.system.herm_basis, grid, cfg.seed, direct
+        )
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+        if kind == "discordant":
+            assert got is None
+        elif kind in ("cq", "degenerate cq", "maximally mixed marginal"):
+            assert got is not None
 
 
 # the stacked rotation grid against its angle-by-angle oracle
@@ -762,12 +840,14 @@ class TestRefinementScores:
         rho = _qubit_first_state(seed, db, kind)
         basis = kernel._qubit_basis(theta, phi)
         assert_allclose(basis @ basis.conj().T, np.eye(2), atol=1e-15)
-        m = kernel._frame_blocks(kernel._block_rows(rho, 2, db), basis)
-        pinch = kernel._pinch_distances(rho, basis[None], 2, db)[0]
-        assert abs(kernel._point_pinch_distance(m) - pinch) <= 1e-13
+        r = kernel._block_rows(rho, 2, db)
+        pinch = kernel._block_pinch_distances(r, basis[None])[0]
+        assert abs(kernel._qubit_pinch_distance(r)(theta, phi) - pinch) <= 1e-13
+        assert abs(pinch - oracles.pinch_distance(rho, basis, 2, db)) <= 1e-13
         s_b = oracles.entropy_bits_oracle(oracles.partial_trace(rho, 2, db, "B"))
-        measured = kernel._measured_J(rho, basis[None], 2, db, s_b)[0]
-        assert abs(kernel._point_measured_J(m, s_b) - measured) <= 1e-13
+        measured = kernel._block_measured_J(r, basis[None], s_b)[0]
+        assert abs(kernel._qubit_measured_J(r, s_b)(theta, phi) - measured) <= 1e-13
+        assert abs(measured - oracles.measured_J(rho, basis, 2, db, s_b)) <= 1e-13
 
     @settings(max_examples=30)
     @given(kernel_cases)
@@ -777,12 +857,18 @@ class TestRefinementScores:
         db = rho.shape[0] // da
         r = kernel._block_rows(rho, da, db)
         s_b = oracles.entropy_bits_oracle(oracles.partial_trace(rho, da, db, "B"))
-        pinch = kernel._pinch_distances(rho, bases, da, db)
-        measured = kernel._measured_J(rho, bases, da, db, s_b)
+        pinch = kernel._block_pinch_distances(r, bases)
+        measured = kernel._block_measured_J(r, bases, s_b)
         for basis, want_pinch, want_j in zip(bases[:7], pinch, measured):
-            m = kernel._frame_blocks(r, basis)
-            assert abs(kernel._point_pinch_distance(m) - want_pinch) <= 1e-13
-            assert abs(kernel._point_measured_J(m, s_b) - want_j) <= 1e-13
+            if da == 2:  # the scalar form, at the angles of the first ket; ket phases do not matter
+                theta = 2.0 * np.arccos(min(abs(basis[0, 0]), 1.0))
+                phi = float(np.angle(basis[0, 1]) - np.angle(basis[0, 0]))
+                assert abs(kernel._qubit_pinch_distance(r)(theta, phi) - want_pinch) <= 1e-13
+                assert abs(kernel._qubit_measured_J(r, s_b)(theta, phi) - want_j) <= 1e-13
+            else:  # a qutrit point's pinching is a stack of one, its J the list form
+                assert abs(kernel._block_pinch_distances(r, basis[None])[0] - want_pinch) <= 1e-13
+                taus = kernel._block_between(r, basis, basis).tolist()
+                assert abs(kernel._point_measured_J(taus, s_b) - want_j) <= 1e-13
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.floats(0.0, 6.0))

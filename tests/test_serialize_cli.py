@@ -34,6 +34,16 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+# each is a ValueError naming its field; restarts=-1 used to run G - 1
+# refinements, and grid_points 0 or "abc" escaped as a traceback
+BAD_CONFIG_VALUES = [
+    ("grid_points", 0), ("grid_points", -3), ("grid_points", "abc"), ("grid_points", 2.5),
+    ("grid_points", True), ("restarts", -1), ("restarts", 1.0), ("refine_iters", 0),
+    ("refine_iters", "9"), ("seed", 1.5), ("seed", "7"), ("seed", None), ("seed", -1),
+    ("tol_zero", -1e-9), ("tol_zero", float("nan")), ("tol_zero", float("inf")), ("tol_zero", "0"),
+]
+
+
 class TestSerialization:
     def test_float_precision_roundtrip(self):
         values = [1.0 / 3.0, np.pi, 1e-17, 0.1 + 0.2, 2.0 ** -53]
@@ -72,6 +82,18 @@ class TestSerialization:
         cfg = SearchConfig(grid_points=123, refine_iters=55, restarts=2, seed=777, tol_zero=1e-8)
         back = SearchConfig.from_obj(json.loads(dumps(cfg.to_obj())))
         assert back == cfg
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES)
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            SearchConfig.from_obj({field: value})
+
+    def test_boundary_config_values_accepted(self):
+        cfg = SearchConfig(grid_points=1, refine_iters=1, restarts=0, seed=0, tol_zero=0.0)
+        assert SearchConfig.from_obj(cfg.to_obj()) == cfg
+        assert SearchConfig(grid_points=None).resolved_grid_points(2) == 2000
 
     def test_resolve_builtins(self):
         assert resolve_theory("classical(4)").dim == 4
@@ -114,6 +136,21 @@ def state_files(tmp_path, classical2, two_qubits):
 
 
 class TestCLI:
+    @pytest.mark.parametrize("field, value", [
+        ("grid_points", 0), ("grid_points", "abc"), ("restarts", -1), ("refine_iters", 0),
+        ("seed", 1.5), ("tol_zero", -1.0),
+    ])
+    def test_out_of_range_config_exits_2(self, state_files, tmp_path, capsys, field, value):
+        path = write(tmp_path, "config.json", {field: value})
+        assert main(["discord", state_files["bell"], "--config", path]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["corr", "bell"])
+    def test_negative_seed_exits_2_on_either_backend(self, state_files, capsys, name):
+        # the polytope discord never reads the seed, but the config is checked first
+        assert main(["discord", state_files[name], "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_distance_classical(self, state_files, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(["distance", state_files["s0"], state_files["s1"], "--out", str(out)])
