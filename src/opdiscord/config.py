@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral, Real
 
 
@@ -49,18 +49,16 @@ class SearchConfig:
         return replace(self, seed=seed)
 
     def to_obj(self) -> dict:
-        return {
-            "grid_points": self.grid_points,
-            "refine_iters": self.refine_iters,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "tol_zero": self.tol_zero,
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SearchConfig":
-        known = {k: obj[k] for k in ("grid_points", "refine_iters", "restarts", "seed", "tol_zero") if k in obj}
-        return cls(**known)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(obj).__name__}")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**obj)
 
 
 DEFAULT_CONFIG = SearchConfig()

@@ -22,21 +22,25 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import herm
 from .config import DEFAULT_CONFIG, SearchConfig
-from .discrimination import (
+from .discrimination import (  # noqa: F401  (_grid_stack stays reachable from here)
+    _basis_from_angles,
+    _grid_bases,
+    _grid_stack,
+    _helstrom,
     are_perfectly_distinguishable,
-    haar_basis_sample,
     maximal_distinguishable_pure_families,
 )
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
 from .fixedbasis import gap_tolerance, solve_fixed_basis
 from .lp import OPTIMAL, solve_lp
+from .sampling import random_pure_ket
 from .theory import (
     POLYTOPE,
     QUANTUM,
@@ -293,14 +297,6 @@ def _cse(theta: float, phi: float) -> tuple[float, float, complex]:
     return math.cos(theta / 2.0), math.sin(theta / 2.0), cmath.exp(1j * phi)
 
 
-def _qubit_basis(theta: float, phi: float) -> np.ndarray:
-    """``_basis_from_angles`` for one pair of angles, built from scalars:
-    the rows ``(c, s e)`` and ``(s, -c e)`` with ``c = cos theta/2``,
-    ``s = sin theta/2`` and ``e = exp(i phi)``."""
-    c, s, e = _cse(theta, phi)
-    return np.array([[c, s * e], [s, -c * e]])
-
-
 def _trace_norm(b: list[complex]) -> float:
     """Trace norm of one flattened square block: for 2 x 2 it is
     ``sqrt(||b||_F^2 + 2 |det b|)``, else the sum of singular values."""
@@ -338,9 +334,9 @@ def _point_measured_J(taus, s_b: float) -> float:
 
 
 def _qubit_pinch_distance(r: np.ndarray):
-    """The pinching distance at ``_qubit_basis(theta, phi)`` as a function
-    of the angles: the trace norm of
-    ``M_01 = cs (R_00 - R_11) - c^2 e R_01 + s^2 e* R_10``."""
+    """The pinching distance at ``_basis_from_angles(theta, phi)``, whose
+    rows are ``(c, s e)`` and ``(s, -c e)``, as a function of the angles:
+    the trace norm of ``M_01 = cs (R_00 - R_11) - c^2 e R_01 + s^2 e* R_10``."""
     r00, r01, r10, r11 = r.reshape(4, -1).tolist()
     diff = [a - b for a, b in zip(r00, r11)]
 
@@ -353,7 +349,7 @@ def _qubit_pinch_distance(r: np.ndarray):
 
 
 def _qubit_measured_J(r: np.ndarray, s_b: float):
-    """``_point_measured_J`` at ``_qubit_basis(theta, phi)`` as a function
+    """``_point_measured_J`` at ``_basis_from_angles(theta, phi)`` as a function
     of the angles, from ``M_00 = c^2 R_00 + s^2 R_11 + h`` and
     ``M_11 = s^2 R_00 + c^2 R_11 - h`` with ``h = cs (e R_01 + e* R_10)``."""
     r00, r01, r10, r11 = r.reshape(4, -1).tolist()
@@ -398,15 +394,6 @@ def _kets_from_family(family: tuple[StateVec, ...]) -> np.ndarray:
     return kets
 
 
-def _basis_from_angles(theta, phi) -> np.ndarray:
-    """The qubit basis (rows are kets) whose first ket has Bloch angles
-    ``(theta, phi)``; arrays of angles give a ``(..., 2, 2)`` stack."""
-    half, phase = np.divide(theta, 2.0), np.exp(1j * np.asarray(phi))
-    k0 = np.stack([np.cos(half), np.sin(half) * phase], axis=-1)
-    k1 = np.stack([np.sin(half), -np.cos(half) * phase], axis=-1)
-    return np.stack([k0, k1], axis=-2)
-
-
 def _angle_grid_bases(n_theta: int, n_phi: int) -> np.ndarray:
     """Qubit bases on the latitude-longitude grid of ``n_theta`` polar
     angles in ``[0, pi]`` and ``n_phi`` azimuths, theta-major, ``(G, 2, 2)``."""
@@ -416,12 +403,6 @@ def _angle_grid_bases(n_theta: int, n_phi: int) -> np.ndarray:
         indexing="ij",
     )
     return _basis_from_angles(theta, phi).reshape(-1, 2, 2)
-
-
-def _angles_from_direction(direction: np.ndarray) -> tuple[float, float]:
-    theta = float(np.arccos(np.clip(direction[2], -1.0, 1.0)))
-    phi = float(np.arctan2(direction[1], direction[0]))
-    return theta, phi
 
 
 def _quantum_decomposition(
@@ -439,12 +420,6 @@ def _quantum_decomposition(
     weights = np.array(weights)
     weights = weights / np.sum(weights)
     return NullDiscordDecomposition(tuple(family), weights, tuple(conditionals))
-
-
-def _certificate_effect(ab: TheoryModel, delta_mat: np.ndarray) -> EffectVec:
-    w, u = np.linalg.eigh(delta_mat)
-    pos = u[:, w > 1e-11]
-    return ab.effect_from_matrix(pos @ pos.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -500,25 +475,6 @@ def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_stack(levels: int, points: int, seed: int | None) -> np.ndarray:
-    if levels == 2:
-        bases = [_basis_from_angles(*_angles_from_direction(v)) for v in herm.fibonacci_sphere(points)]
-    else:
-        bases = haar_basis_sample(levels, points, seed)
-    grid = np.array(bases, dtype=complex).reshape(-1, levels, levels)
-    grid.setflags(write=False)
-    return grid
-
-
-def _grid_bases(da: int, config: SearchConfig) -> np.ndarray:
-    """The measurement grid as one read-only ``(G, da, da)`` stack, built
-    once per levels, point count and seed (the qubit's Fibonacci sphere
-    has no seed).  Copy a basis before handing it out."""
-    seed = None if da == 2 else config.seed
-    return _grid_stack(da, config.resolved_grid_points(da), seed)
-
-
 def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) -> np.ndarray | None:
     """Search for a measurement basis whose pinching fixes ``rho``.
 
@@ -542,8 +498,7 @@ def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) ->
 
     rng = np.random.default_rng(cfg.seed)
     for _ in range(3):
-        phi = rng.normal(size=db) + 1j * rng.normal(size=db)
-        phi /= np.linalg.norm(phi)
+        phi = random_pure_ket(db, rng)
         compression = np.einsum("abcd,b,d->ac", rr, phi.conj(), phi)
         _, uc = np.linalg.eigh(compression)
         candidates.append(uc.T.copy())
@@ -619,7 +574,6 @@ def _polytope_distance_to_family(
 def distance_to_family(
     rho: StateVec,
     family: list[StateVec],
-    config: SearchConfig | None = None,
 ) -> tuple[float, NullDiscordDecomposition]:
     """Minimum operational distance from ``rho`` to states decomposable
     over the given jointly-distinguishable pure family.
@@ -627,8 +581,7 @@ def distance_to_family(
     Exact (single LP) on the polytope backend.  On the quantum backend
     the fixed-basis solver of ``opdiscord.fixedbasis`` runs to its
     primal-dual gap, and the value is the exact distance to the returned
-    decomposition.  ``config`` is accepted for compatibility; no setting
-    changes the result.
+    decomposition.
     """
     fa, fb = _require_bipartite(rho)
     family = tuple(family)
@@ -677,7 +630,7 @@ def _quantum_basis_search(
     the first ket for a qubit and over a Hermitian generator ``H``
     rotating the start basis by ``exp(iH)`` otherwise.  Each of its points
     is scored by ``point_objective``: from the angles ``(theta, phi)`` of
-    ``_qubit_basis`` for a qubit, else from that one basis.  Both equal
+    ``_basis_from_angles`` for a qubit, else from that one basis.  Both equal
     ``grid_objective`` up to rounding.
     """
     da = len(r)
@@ -698,7 +651,7 @@ def _quantum_basis_search(
             x0 = np.array([theta, phi])
 
             def basis_of(x):
-                return _qubit_basis(*x.tolist())
+                return _basis_from_angles(*x.tolist())
 
             def value_at(x):
                 return point_objective(*x.tolist())
@@ -729,47 +682,43 @@ def _quantum_basis_search(
 
 
 def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
+    """The pinching of a fixed-point basis, else the fixed-basis solution
+    at the searched basis; the value and certificate are the Helstrom
+    step of ``rho`` minus that cq state."""
     da, db = _require_quantum_state(rho)
     ab = rho.system
     rho_mat = rho.matrix()
     counter = [0]
 
-    fixed = find_fixed_point_basis(rho, cfg)
-    if fixed is not None:
-        taus = _blocks(rho_mat, fixed[None], da, db)[0]
-        sigma = _cq_matrix(fixed[None], taus[None])[0]
-        value = float(herm.half_trace_norm(rho_mat - sigma))
+    basis = find_fixed_point_basis(rho, cfg)
+    if basis is not None:
+        taus = _blocks(rho_mat, basis[None], da, db)[0]
         counter[0] += 1
-        return DiscordResult(
-            value=value,
-            optimizer=_quantum_decomposition(ab, fixed, taus),
-            certificate_effect=_certificate_effect(ab, rho_mat - sigma),
-            outer_evaluations=counter[0],
-            converged=True,
-        )
-
-    r = _block_rows(rho_mat, da, db)
-    if da == 2:
-        point = _qubit_pinch_distance(r)
+        converged = True
     else:
+        r = _block_rows(rho_mat, da, db)
+        if da == 2:
+            point = _qubit_pinch_distance(r)
+        else:
 
-        def point(b: np.ndarray) -> float:
-            return float(_block_pinch_distances(r, b[None])[0])
+            def point(b: np.ndarray) -> float:
+                return float(_block_pinch_distances(r, b[None])[0])
 
-    basis, _ = _quantum_basis_search(r, cfg, functools.partial(_block_pinch_distances, r), point, counter)
+        basis, _ = _quantum_basis_search(r, cfg, functools.partial(_block_pinch_distances, r), point, counter)
+        # the exact optimum over weights and conditionals at the winning
+        # basis, started from its pinching
+        solution = solve_fixed_basis(rho_mat, basis[None], db)
+        counter[0] += int(solution.iterations[0])
+        taus = solution.taus[0]
+        converged = bool(solution.value[0] - solution.lower[0] <= gap_tolerance(da))
 
-    # the exact optimum over weights and conditionals at the winning basis,
-    # started from its pinching; the value is the distance to that point
-    solution = solve_fixed_basis(rho_mat, basis[None], db)
-    counter[0] += int(solution.iterations[0])
-    taus = solution.taus[0]
-    sigma = _cq_matrix(basis[None], taus[None])[0]
+    value, effect = _helstrom(ab, rho_mat - _cq_matrix(basis[None], taus[None])[0])
     return DiscordResult(
-        value=max(float(solution.value[0]), 0.0),
+        value=value,
         optimizer=_quantum_decomposition(ab, basis, taus),
-        certificate_effect=_certificate_effect(ab, rho_mat - sigma),
+        certificate_effect=effect,
         outer_evaluations=counter[0],
-        converged=bool(solution.value[0] - solution.lower[0] <= gap_tolerance(da)),
+        converged=converged,
     )
 
 
@@ -812,16 +761,16 @@ def is_null_discord(
     Polytope: exact (discord value against ``tol``).  Quantum: the
     discord upper bound must vanish *and* the pinching fixed-point
     search must succeed; the two must agree for a positive verdict.
+    ``tol`` replaces ``config.tol_zero`` and follows its rule: a negative
+    or non-finite value raises ``ValueError``.
     """
     cfg = config or DEFAULT_CONFIG
-    threshold = cfg.tol_zero if tol is None else tol
-    _require_bipartite(rho)
+    if tol is not None:
+        cfg = replace(cfg, tol_zero=tol)
     result = discord(rho, cfg)
+    verdict = result.value <= cfg.tol_zero
     if rho.system.backend == QUANTUM:
-        fixed = find_fixed_point_basis(rho, cfg)
-        verdict = result.value <= threshold and fixed is not None
-    else:
-        verdict = result.value <= threshold
+        verdict = verdict and find_fixed_point_basis(rho, cfg) is not None
     return (verdict, result.optimizer if verdict else None)
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import SearchConfig
 from .errors import InvalidStateError, ResourceBudgetError
-from .herm import bloch_projector, fibonacci_sphere
+from .herm import fibonacci_sphere
 from .lp import OPTIMAL, solve_lp
 from .sampling import random_haar_basis
 from .theory import (
@@ -57,14 +57,6 @@ def _check_pair(rho0: StateVec, rho1: StateVec) -> TheoryModel:
     return rho0.system
 
 
-def _lexicographically_smallest(rows: np.ndarray) -> int:
-    best = 0
-    for i in range(1, rows.shape[0]):
-        if tuple(rows[i]) < tuple(rows[best]):
-            best = i
-    return best
-
-
 def _polytope_max_pairing(system: TheoryModel, delta: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize ``a . delta`` over the effect polytope; returns (value, effect)."""
     vertices = system.effect_vertex_coords
@@ -72,7 +64,7 @@ def _polytope_max_pairing(system: TheoryModel, delta: np.ndarray) -> tuple[float
         vals = vertices @ delta
         top = float(np.max(vals))
         ties = np.nonzero(vals >= top - 1e-9)[0]
-        pick = ties[_lexicographically_smallest(vertices[ties])]
+        pick = ties[np.lexsort(vertices[ties].T[::-1])[0]]
         return max(top, 0.0), vertices[pick]
     # half-space form via LP duality:  max a.delta s.t. 0 <= a.v <= 1
     # equals min sum(mu) s.t. V^T (mu - nu) = delta, mu, nu >= 0, and the
@@ -87,20 +79,23 @@ def _polytope_max_pairing(system: TheoryModel, delta: np.ndarray) -> tuple[float
     return max(float(res.objective), 0.0), res.dual_eq
 
 
+def _helstrom(system: TheoryModel, delta: np.ndarray) -> tuple[float, EffectVec]:
+    """Half the trace norm of the Hermitian matrix ``delta`` and the
+    projector onto its eigenvalues above ``EIG_TOL``, the effect that
+    attains it, from one ``eigh``."""
+    w, u = np.linalg.eigh(delta)
+    pos = u[:, w > EIG_TOL]
+    return float(np.sum(np.abs(w)) / 2.0), system.effect_from_matrix(pos @ pos.conj().T)
+
+
 def min_error_discrimination(rho0: StateVec, rho1: StateVec) -> DiscriminationResult:
     """Optimal equal-prior binary discrimination of two normalized states."""
     system = _check_pair(rho0, rho1)
-    delta = rho0.coords - rho1.coords
     if system.backend == POLYTOPE:
-        distance, effect_coords = _polytope_max_pairing(system, delta)
+        distance, effect_coords = _polytope_max_pairing(system, rho0.coords - rho1.coords)
         effect = system.effect(effect_coords)
     else:
-        diff = rho0.matrix() - rho1.matrix()
-        w, u = np.linalg.eigh(diff)
-        distance = float(np.sum(np.abs(w)) / 2.0)
-        pos = u[:, w > EIG_TOL]
-        proj = pos @ pos.conj().T
-        effect = system.effect_from_matrix(proj)
+        distance, effect = _helstrom(system, rho0.matrix() - rho1.matrix())
     distance = min(max(distance, 0.0), 1.0)
     return DiscriminationResult(p_err=(1.0 - distance) / 2.0, optimal_effect=effect, distance=distance)
 
@@ -129,48 +124,30 @@ def _polytope_distinguishability_lp(system: TheoryModel, states: list[StateVec])
     """Find effects ``a_k >= 0`` on the cone with ``sum a_k = e`` and
     ``a_k . rho_i = delta_ki``; effects are parameterized in half-space
     form (split positive/negative parts plus slack on each pure state).
+    The free columns are ``(k, sign, axis)`` with ``a_k = pos - neg``.
     """
     pure = system.pure_state_coords
     m, dim = pure.shape
     k = len(states)
     n_free = 2 * k * dim
-    n_slack = k * m
-    rows = []
-    rhs = []
+    A = np.zeros((k * (m + k) + dim, n_free + k * m))
+    b = np.zeros(len(A))
+    free = A[:, :n_free].reshape(-1, k, 2, dim)
+    on = np.arange(k)
+    for start, vecs in ((0, pure), (k * m, np.array([rho.coords for rho in states]))):
+        rows = free[start : start + k * len(vecs)].reshape(k, len(vecs), k, 2, dim)
+        rows[on, :, on] = np.stack([vecs, -vecs], axis=1)
+    A[np.arange(k * m), n_free + np.arange(k * m)] = -1.0
+    b[k * m : k * (m + k)] = np.eye(k).ravel()
+    axis = np.arange(dim)
+    free[k * (m + k) :][axis, :, :, axis] = [1.0, -1.0]
+    b[k * (m + k) :] = system.det_effect_coords
 
-    def coef_row(block: int, vec: np.ndarray, slack_index: int | None) -> np.ndarray:
-        row = np.zeros(n_free + n_slack)
-        row[2 * block * dim : (2 * block + 1) * dim] = vec
-        row[(2 * block + 1) * dim : (2 * block + 2) * dim] = -vec
-        if slack_index is not None:
-            row[n_free + slack_index] = -1.0
-        return row
-
-    for block in range(k):
-        for i in range(m):
-            rows.append(coef_row(block, pure[i], block * m + i))
-            rhs.append(0.0)
-    for block in range(k):
-        for i, rho in enumerate(states):
-            rows.append(coef_row(block, rho.coords, None))
-            rhs.append(1.0 if block == i else 0.0)
-    for axis in range(dim):
-        row = np.zeros(n_free + n_slack)
-        for block in range(k):
-            row[2 * block * dim + axis] = 1.0
-            row[(2 * block + 1) * dim + axis] = -1.0
-        rows.append(row)
-        rhs.append(system.det_effect_coords[axis])
-
-    res = solve_lp(np.zeros(n_free + n_slack), np.array(rows), np.array(rhs))
+    res = solve_lp(np.zeros(A.shape[1]), A, b)
     if res.status != OPTIMAL:
         return None
-    effects = []
-    for block in range(k):
-        pos = res.x[2 * block * dim : (2 * block + 1) * dim]
-        neg = res.x[(2 * block + 1) * dim : (2 * block + 2) * dim]
-        effects.append(pos - neg)
-    return effects
+    signed = res.x[:n_free].reshape(k, 2, dim)
+    return signed[:, 0] - signed[:, 1]
 
 
 def are_perfectly_distinguishable(states: list[StateVec]) -> DistinguishabilityCertificate:
@@ -242,11 +219,39 @@ def _polytope_maximal_families(theory: TheoryModel, budget: int) -> tuple[tuple[
     return tuple(tuple(pure[i] for i in sorted(s)) for s in maximal)
 
 
-def haar_basis_sample(d: int, n: int, seed: int) -> list[np.ndarray]:
-    """Deterministic Haar-random orthonormal bases, one (d, d) array each,
-    rows are basis vectors."""
-    rng = np.random.default_rng(seed)
-    return [random_haar_basis(d, rng) for _ in range(n)]
+def _basis_from_angles(theta, phi) -> np.ndarray:
+    """The qubit basis (rows are kets) whose first ket has Bloch angles
+    ``(theta, phi)``; arrays of angles give a ``(..., 2, 2)`` stack."""
+    half, phase = np.divide(theta, 2.0), np.exp(1j * np.asarray(phi))
+    k0 = np.stack([np.cos(half), np.sin(half) * phase], axis=-1)
+    k1 = np.stack([np.sin(half), -np.cos(half) * phase], axis=-1)
+    return np.stack([k0, k1], axis=-2)
+
+
+def _angles_from_direction(direction: np.ndarray) -> tuple[float, float]:
+    theta = float(np.arccos(np.clip(direction[2], -1.0, 1.0)))
+    phi = float(np.arctan2(direction[1], direction[0]))
+    return theta, phi
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_stack(levels: int, points: int, seed: int | None) -> np.ndarray:
+    if levels == 2:
+        bases = [_basis_from_angles(*_angles_from_direction(v)) for v in fibonacci_sphere(points)]
+    else:
+        rng = np.random.default_rng(seed)
+        bases = [random_haar_basis(levels, rng) for _ in range(points)]
+    grid = np.array(bases, dtype=complex).reshape(-1, levels, levels)
+    grid.setflags(write=False)
+    return grid
+
+
+def _grid_bases(da: int, config: SearchConfig) -> np.ndarray:
+    """The measurement grid as one read-only ``(G, da, da)`` stack, built
+    once per levels, point count and seed (the qubit's Fibonacci sphere
+    has no seed).  Copy a basis before handing it out."""
+    seed = None if da == 2 else config.seed
+    return _grid_stack(da, config.resolved_grid_points(da), seed)
 
 
 def basis_family(theory: TheoryModel, basis: np.ndarray) -> tuple[StateVec, ...]:
@@ -266,25 +271,13 @@ def maximal_distinguishable_pure_families(
 
     Polytope backend: exhaustive subset search over the vertex list with
     feasibility pruning, exact and finite.  Quantum backend: the family
-    set is a continuum of orthonormal bases; a deterministic finite grid
-    is returned (antipodal Bloch pairs from a Fibonacci sphere for
-    ``d = 2``, Haar-sampled bases at fixed seed otherwise).
+    set is a continuum of orthonormal bases; the families of the discord
+    search's measurement grid are returned (the bases of a Fibonacci
+    sphere of Bloch directions for ``d = 2``, Haar-sampled bases at
+    ``seed`` otherwise).  ``grid_points`` and ``seed`` follow
+    ``SearchConfig``'s rules.
     """
     if theory.backend == POLYTOPE:
         return _polytope_maximal_families(theory, budget)
-    d = theory.quantum_levels
-    n = grid_points if grid_points is not None else DEFAULT_CONFIG.resolved_grid_points(d)
-    families = []
-    if d == 2:
-        for direction in fibonacci_sphere(n):
-            p = bloch_projector(direction)
-            families.append(
-                (
-                    theory.state_from_matrix(p),
-                    theory.state_from_matrix(np.eye(2, dtype=complex) - p),
-                )
-            )
-    else:
-        for basis in haar_basis_sample(d, n, seed):
-            families.append(basis_family(theory, basis))
-    return tuple(families)
+    grid = _grid_bases(theory.quantum_levels, SearchConfig(grid_points=grid_points, seed=seed))
+    return tuple(basis_family(theory, basis) for basis in grid)

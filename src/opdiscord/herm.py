@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
 def hermitian_basis(d: int) -> np.ndarray:
     """Return the basis with shape ``(d*d, d, d)``; Tr[B_i B_j] = delta_ij."""
     if d <= 0:
@@ -62,12 +57,6 @@ def half_trace_norm(delta: np.ndarray) -> np.ndarray:
     """Half the trace norm of each Hermitian matrix in the stack: the
     Helstrom distance when ``delta`` is a difference of states."""
     return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1) / 2.0
-
-
-def bloch_projector(direction: np.ndarray) -> np.ndarray:
-    """Rank-one qubit projector ``(I + n.sigma)/2`` for a unit Bloch vector."""
-    n = np.asarray(direction, dtype=float)
-    return (np.eye(2, dtype=complex) + n[0] * _PAULI_X + n[1] * _PAULI_Y + n[2] * _PAULI_Z) / 2.0
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ on polytopes, via a weak-duality lower bound on the quantum backend).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -120,6 +121,21 @@ def certified_discord_lower_bound(
 # witness search
 
 
+def _grow_independent(base: list[StateVec], draw, dim: int, tries: int | None) -> list[StateVec]:
+    """``base`` extended by each state from ``draw()`` that raises its
+    rank, until it holds ``dim`` states or ``tries`` draws are spent
+    (``None``: no limit)."""
+    out = list(base)
+    drawn = 0
+    while len(out) < dim and (tries is None or drawn < tries):
+        drawn += 1
+        s = draw()
+        trial = np.vstack([c.coords for c in out] + [s.coords])
+        if np.linalg.matrix_rank(trial, tol=RANK_TOL) == len(out) + 1:
+            out.append(s)
+    return out
+
+
 def _complete_independent_sets(theory: TheoryModel, rng: np.random.Generator, extra: int):
     """Complete (spanning) linearly independent state sets of the theory.
 
@@ -128,25 +144,13 @@ def _complete_independent_sets(theory: TheoryModel, rng: np.random.Generator, ex
     (quantum); ``extra`` randomized sets follow.
     """
     dim = theory.dim
+    draw = functools.partial(random_state, theory, rng)
     sets: list[list[StateVec]] = []
     if theory.backend == POLYTOPE:
         vertices = theory.pure_states
-        coords = theory.pure_state_coords
-        picked: list[int] = []
-        for i in range(len(vertices)):
-            trial = picked + [i]
-            if np.linalg.matrix_rank(coords[trial], tol=RANK_TOL) == len(trial):
-                picked.append(i)
-            if len(picked) == dim:
-                break
-        base = [vertices[i] for i in picked]
-        while len(base) < dim:
-            # complete with mixtures when the vertices do not span
-            mix = random_state(theory, rng)
-            trial = np.vstack([s.coords for s in base] + [mix.coords])
-            if np.linalg.matrix_rank(trial, tol=RANK_TOL) == len(base) + 1:
-                base.append(mix)
-        sets.append(base)
+        base = _grow_independent([], iter(vertices).__next__, dim, len(vertices))
+        # complete with mixtures when the vertices do not span
+        sets.append(_grow_independent(base, draw, dim, None))
     else:
         d = theory.quantum_levels
         kets = [np.eye(d, dtype=complex)[i] for i in range(d)]
@@ -160,14 +164,7 @@ def _complete_independent_sets(theory: TheoryModel, rng: np.random.Generator, ex
         sets.append([theory.state_from_matrix(m) for m in states])
 
     for _ in range(extra):
-        cand: list[StateVec] = []
-        guard = 0
-        while len(cand) < dim and guard < 50 * dim:
-            guard += 1
-            s = random_state(theory, rng)
-            trial = np.vstack([c.coords for c in cand] + [s.coords])
-            if np.linalg.matrix_rank(trial, tol=RANK_TOL) == len(cand) + 1:
-                cand.append(s)
+        cand = _grow_independent([], draw, dim, 50 * dim)
         if len(cand) == dim:
             sets.append(cand)
     return sets

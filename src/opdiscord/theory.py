@@ -356,7 +356,7 @@ def marginalize(rho_ab: StateVec, side: str) -> StateVec:
     return fb.state(fa.det_effect_coords @ table)
 
 
-def state_in_cone(rho: StateVec, tol: float = 1e-9) -> bool:
+def state_in_cone(rho: StateVec) -> bool:
     """Membership of the coords in the cone generated by pure states."""
     system = rho.system
     if system.backend == POLYTOPE:
@@ -366,13 +366,13 @@ def state_in_cone(rho: StateVec, tol: float = 1e-9) -> bool:
     return bool(np.min(np.linalg.eigvalsh(mat)) >= -MEMBERSHIP_EIG_TOL)
 
 
-def validate_state(rho: StateVec, tol: float = 1e-9) -> None:
+def validate_state(rho: StateVec) -> None:
     """Raise InvalidStateError unless rho is a valid (sub)normalized state."""
     if rho.normalized:
         pairing = float(rho.system.det_effect_coords @ rho.coords)
         if abs(pairing - 1.0) > NORMALIZATION_TOL * 10:
             raise InvalidStateError("state flagged normalized but pairing with e differs from 1")
-    if not state_in_cone(rho, tol):
+    if not state_in_cone(rho):
         raise InvalidStateError("coords lie outside the state cone")
 
 

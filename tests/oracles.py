@@ -47,12 +47,6 @@ def helstrom_value(m0: np.ndarray, m1: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m0 - m1))))
 
 
-def shannon_bits(p) -> float:
-    p = np.asarray(p, dtype=float)
-    p = p[p > 1e-12]
-    return float(-np.sum(p * np.log2(p)))
-
-
 # ---------------------------------------------------------------------------
 # polytope geometry oracles
 
@@ -75,6 +69,54 @@ def dual_polytope_extreme_points(vertices: np.ndarray) -> list[np.ndarray]:
             if not any(np.allclose(a, b, atol=1e-8) for b in found):
                 found.append(a)
     return found
+
+
+def distinguishability_lp_rows(pure: np.ndarray, state_coords: np.ndarray, det: np.ndarray):
+    """``(A, b)`` of the perfect-distinguishability LP, one row at a time:
+    for each effect block the rows ``a_k . v - slack = 0`` over the pure
+    states ``v``, then ``a_k . rho_i = delta_ki``, then ``sum_k a_k = e``
+    per axis.  The free columns are ``(k, pos/neg, axis)``, the slacks follow."""
+    m, dim = pure.shape
+    k = len(state_coords)
+    n_free = 2 * k * dim
+    n_slack = k * m
+    rows = []
+    rhs = []
+
+    def coef_row(block, vec, slack_index):
+        row = np.zeros(n_free + n_slack)
+        row[2 * block * dim : (2 * block + 1) * dim] = vec
+        row[(2 * block + 1) * dim : (2 * block + 2) * dim] = -vec
+        if slack_index is not None:
+            row[n_free + slack_index] = -1.0
+        return row
+
+    for block in range(k):
+        for i in range(m):
+            rows.append(coef_row(block, pure[i], block * m + i))
+            rhs.append(0.0)
+    for block in range(k):
+        for i, rho in enumerate(state_coords):
+            rows.append(coef_row(block, rho, None))
+            rhs.append(1.0 if block == i else 0.0)
+    for axis in range(dim):
+        row = np.zeros(n_free + n_slack)
+        for block in range(k):
+            row[2 * block * dim + axis] = 1.0
+            row[(2 * block + 1) * dim + axis] = -1.0
+        rows.append(row)
+        rhs.append(det[axis])
+    return np.array(rows), np.array(rhs)
+
+
+def distinguishability_effects_loop(x: np.ndarray, k: int, dim: int) -> list[np.ndarray]:
+    """The effects ``pos - neg`` read block by block from the LP solution."""
+    effects = []
+    for block in range(k):
+        pos = x[2 * block * dim : (2 * block + 1) * dim]
+        neg = x[(2 * block + 1) * dim : (2 * block + 2) * dim]
+        effects.append(pos - neg)
+    return effects
 
 
 def scipy_effect_maximum(pure_states: np.ndarray, delta: np.ndarray) -> float:

@@ -423,6 +423,13 @@ class TestIsNullDiscord:
             assert verdict == found
             assert not verdict  # Ginibre samples are discordant almost surely
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tol_rejected(self, two_qubits, tol):
+        # a cq state: nan and -1 used to read False, inf True
+        cq = two_qubits.state_from_matrix(0.3 * np.kron(dm(KET0), dm(KETP)) + 0.7 * np.kron(dm(KET1), dm(KET0)))
+        with pytest.raises(ValueError, match="tol_zero"):
+            od.is_null_discord(cq, tol)
+
 
 class TestFixedPoint:
     def test_cq_state_fixed_in_computational_basis(self, two_qubits):
@@ -838,7 +845,7 @@ class TestRefinementScores:
     )
     def test_closed_forms_match_the_stacked_kernel(self, seed, db, kind, theta, phi):
         rho = _qubit_first_state(seed, db, kind)
-        basis = kernel._qubit_basis(theta, phi)
+        basis = kernel._basis_from_angles(theta, phi)
         assert_allclose(basis @ basis.conj().T, np.eye(2), atol=1e-15)
         r = kernel._block_rows(rho, 2, db)
         pinch = kernel._block_pinch_distances(r, basis[None])[0]

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -9,7 +10,10 @@ from opdiscord.discrimination import (
     FAMILY_CHECK_BUDGET,
     _polytope_max_pairing,
     _polytope_maximal_families,
+    basis_family,
 )
+from opdiscord.herm import fibonacci_sphere
+from opdiscord.lp import OPTIMAL
 from opdiscord.sampling import random_state
 
 import oracles
@@ -207,6 +211,51 @@ class TestPerfectDistinguishability:
             assert od.are_perfectly_distinguishable([a, b]).distinguishable == expect
 
 
+discrimination = importlib.import_module("opdiscord.discrimination")
+
+
+class TestDistinguishabilityLP:
+    @pytest.mark.parametrize("maker", [
+        lambda: od.make_classical(3), od.make_gbit, lambda: od.make_polygon(5), lambda: od.make_polygon(6),
+    ])
+    def test_block_assembly_matches_the_row_loop(self, maker, rng, monkeypatch):
+        # the LP data equal the row-by-row assembly entry for entry, signed
+        # zeros included, and the effects are read from the same solution
+        seen = []
+        solve_lp = discrimination.solve_lp
+
+        def recording(c, A, b):
+            seen.append((A, b))
+            return solve_lp(c, A, b)
+
+        monkeypatch.setattr(discrimination, "solve_lp", recording)
+        theory = maker()
+        feasible = 0
+        for system in (theory, od.compose_theories(theory, od.make_classical(2))):
+            pure = system.pure_states
+            cases = [list(c) for k in (2, 3) for c in itertools.combinations(pure, k)][:12]
+            cases += [[random_state(system, rng) for _ in range(k)] + pure[:1] for k in (1, 2)]
+            for states in cases:
+                seen.clear()
+                got = discrimination._polytope_distinguishability_lp(system, states)
+                (A, b), = seen
+                coords = np.array([s.coords for s in states])
+                want_A, want_b = oracles.distinguishability_lp_rows(
+                    system.pure_state_coords, coords, system.det_effect_coords
+                )
+                for have, want in ((A, want_A), (b, want_b)):
+                    assert np.array_equal(have, want)
+                    assert np.array_equal(np.signbit(have), np.signbit(want))
+                res = solve_lp(np.zeros(want_A.shape[1]), want_A, want_b)
+                if res.status != OPTIMAL:
+                    assert got is None
+                    continue
+                feasible += 1
+                want = oracles.distinguishability_effects_loop(res.x, len(states), system.dim)
+                assert np.array_equal(np.array(got), np.array(want))
+        assert feasible > 0
+
+
 class TestMaximalFamilies:
     def test_classical_unique_family(self, classical3):
         fams = od.maximal_distinguishable_pure_families(classical3)
@@ -237,6 +286,24 @@ class TestMaximalFamilies:
         for fam in fams[::10]:
             cert = od.are_perfectly_distinguishable(list(fam))
             assert cert.distinguishable
+
+    @pytest.mark.parametrize("d, points", [(2, 50), (3, 40)])
+    def test_quantum_families_are_the_search_grid(self, d, points):
+        theory = od.make_quantum(d)
+        fams = od.maximal_distinguishable_pure_families(theory, grid_points=points)
+        grid = importlib.import_module("opdiscord.discord")._grid_bases(d, od.SearchConfig(grid_points=points))
+        want = [basis_family(theory, basis) for basis in grid]
+        assert [[s.coords.tobytes() for s in f] for f in fams] == [[s.coords.tobytes() for s in f] for f in want]
+        if d == 2:  # the first members sit at the Fibonacci sphere's Bloch vectors
+            p = np.array([f[0].matrix() for f in fams])
+            bloch = np.stack([2.0 * p[:, 1, 0].real, 2.0 * p[:, 1, 0].imag, (p[:, 0, 0] - p[:, 1, 1]).real], axis=-1)
+            assert np.max(np.abs(bloch - fibonacci_sphere(points))) <= 1e-15
+
+    @pytest.mark.parametrize("points", [0, -3, 2.5, "abc"])
+    def test_bad_grid_points_rejected(self, qubit, points):
+        # 0 and -3 used to give no families, 2.5 three
+        with pytest.raises(ValueError, match="grid_points"):
+            od.maximal_distinguishable_pure_families(qubit, grid_points=points)
 
     def test_qubit_default_grid_size(self, qubit):
         fams = od.maximal_distinguishable_pure_families(qubit)

@@ -90,6 +90,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match=field):
             SearchConfig.from_obj({field: value})
 
+    def test_unknown_config_key_rejected(self):
+        with pytest.raises(ValueError, match="grid_point"):
+            SearchConfig.from_obj({"grid_point": 10})
+
     def test_boundary_config_values_accepted(self):
         cfg = SearchConfig(grid_points=1, refine_iters=1, restarts=0, seed=0, tol_zero=0.0)
         assert SearchConfig.from_obj(cfg.to_obj()) == cfg
@@ -144,6 +148,13 @@ class TestCLI:
         path = write(tmp_path, "config.json", {field: value})
         assert main(["discord", state_files["bell"], "--config", path]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj, message", [({"grid_point": 10}, "grid_point"), ([10], "JSON object")])
+    def test_unknown_config_key_exits_2(self, state_files, tmp_path, capsys, obj, message):
+        # a misspelt key or a list used to run the default grid silently
+        path = write(tmp_path, "config.json", obj)
+        assert main(["discord", state_files["bell"], "--config", path]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["corr", "bell"])
     def test_negative_seed_exits_2_on_either_backend(self, state_files, capsys, name):
