@@ -44,7 +44,7 @@ from .herm import half_trace_norm
 
 GAMMA = 0.25
 RELAX = 1.8
-MAX_ITERS = 1000
+MAX_ITERS = 30000
 
 
 class FixedBasisSolution(NamedTuple):
