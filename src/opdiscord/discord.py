@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import herm
 from .config import DEFAULT_CONFIG, SearchConfig
@@ -40,6 +39,7 @@ from .discrimination import (  # noqa: F401  (_grid_stack stays reachable from h
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
 from .fixedbasis import gap_tolerance, solve_fixed_basis
 from .lp import OPTIMAL, solve_lp
+from .neldermead import minimize
 from .sampling import random_pure_ket
 from .theory import (
     POLYTOPE,
@@ -284,8 +284,11 @@ def _block_measured_J(r: np.ndarray, bases: np.ndarray, s_b: float) -> np.ndarra
     return s_b - np.sum(np.where(kept, p * entropy, 0.0), axis=-1)
 
 
-# One point of the Nelder-Mead refinement at a time.  A qubit point is
-# scored from its angles with scalar arithmetic.  A qutrit point's
+# One point of the Nelder-Mead refinement at a time.  The driver is the
+# library's own port of scipy's (``neldermead.py``): it visits the same
+# points, and ties in the simplex are ordered by ``np.argsort`` as scipy
+# orders them.  A qubit point arrives as two float angles and is scored
+# with scalar arithmetic.  A qutrit point's
 # pinching distance is the stacked score of a stack of one, but its
 # entropic score reads the diagonal blocks as lists: on one 3 (x) 2 basis
 # numpy's per-call cost makes ``_block_measured_J`` twice as slow
@@ -630,8 +633,14 @@ def _quantum_basis_search(
     the first ket for a qubit and over a Hermitian generator ``H``
     rotating the start basis by ``exp(iH)`` otherwise.  Each of its points
     is scored by ``point_objective``: from the angles ``(theta, phi)`` of
-    ``_basis_from_angles`` for a qubit, else from that one basis.  Both equal
-    ``grid_objective`` up to rounding.
+    ``_basis_from_angles`` for a qubit, passed as floats, else from that
+    one basis.  Both equal ``grid_objective`` up to rounding.
+
+    The runs use ``neldermead.minimize``, the library's own port of
+    scipy's Nelder-Mead, which returns the same points and evaluation
+    counts.  Its simplex is ordered by value; when two values tie (the
+    3 (x) 2 generator has flat directions) the order among them is
+    ``np.argsort``'s, as in scipy.
     """
     da = len(r)
     grid = _grid_bases(da, cfg)
@@ -648,19 +657,19 @@ def _quantum_basis_search(
             ket0 = start_basis[0]
             theta = 2.0 * np.arccos(np.clip(np.abs(ket0[0]), 0.0, 1.0))
             phi = float(np.angle(ket0[1])) if abs(ket0[1]) > 1e-12 else 0.0
-            x0 = np.array([theta, phi])
+            x0 = [float(theta), phi]
 
             def basis_of(x):
-                return _basis_from_angles(*x.tolist())
+                return _basis_from_angles(*x)
 
             def value_at(x):
-                return point_objective(*x.tolist())
+                return point_objective(*x)
         else:
             u0 = start_basis.T
-            x0 = np.zeros(da * da)
+            x0 = [0.0] * (da * da)
 
             def basis_of(x):
-                return (_expi((x @ hb).reshape(da, da)) @ u0).T
+                return (_expi((np.array(x) @ hb).reshape(da, da)) @ u0).T
 
             def value_at(x):
                 return point_objective(basis_of(x))
@@ -669,12 +678,7 @@ def _quantum_basis_search(
             counter[0] += 1
             return value_at(x)
 
-        res = minimize(
-            score,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.refine_iters, "xatol": 1e-10, "fatol": 1e-12},
-        )
+        res = minimize(score, x0, cfg.refine_iters, xatol=1e-10, fatol=1e-12)
         val = score(res.x)
         if val < best_val:
             best_val, best_basis = val, basis_of(res.x)

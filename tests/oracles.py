@@ -709,3 +709,18 @@ def bell_diagonal_entropic_discord(mat, c) -> float:
     cmax = float(np.max(np.abs(c)))
     classical = sum(0.5 * x * np.log2(x) for x in (1.0 - cmax, 1.0 + cmax) if x > 0.0)
     return info - classical
+
+
+def x_state_discord(mat) -> float:
+    """Operational discord of a two-qubit X state (nonzero entries only on
+    the diagonal and anti-diagonal): half the trace-norm discord of
+    Ciccarello, Tufarelli & Giovannetti, NJP 16, 013038 (2014), in their parameters ``gamma_1..3`` and the first factor's Bloch ``z``."""
+    r14, r23 = abs(mat[0, 3]), abs(mat[1, 2])
+    g1, g2 = 2.0 * (r14 + r23), 2.0 * abs(r14 - r23)
+    g3 = 1.0 - 2.0 * (mat[1, 1].real + mat[2, 2].real)
+    z = 2.0 * (mat[0, 0].real + mat[1, 1].real) - 1.0
+    a, b = max(g3**2, g2**2 + z**2), min(g3**2, g1**2)
+    den = a - b + g1**2 - g2**2
+    if den == 0.0:
+        return g1 / 2.0
+    return 0.5 * float(np.sqrt((g1**2 * a - g2**2 * b) / den))

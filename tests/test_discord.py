@@ -353,6 +353,37 @@ class TestBellDiagonalClosedForms:
         self._check(two_qubits, np.eye(4)[bell])
 
 
+class TestXStateClosedForm:
+    """Operational discord of two-qubit X states (Bloch vectors along z,
+    complex coherences) against the closed form of Ciccarello, Tufarelli
+    & Giovannetti, ``oracles.x_state_discord``.  Unlike a Bell-diagonal
+    state, such a state's marginal is not maximally mixed, so the qubit
+    refinement is gated on a landscape that is not flat."""
+
+    @staticmethod
+    def _check(two_qubits, mat):
+        expect = oracles.x_state_discord(mat)
+        value = od.discord(two_qubits.state_from_matrix(mat)).value
+        assert expect - 1e-12 <= value <= expect + 1e-9
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_x_states(self, two_qubits, seed):
+        rng = np.random.default_rng([0xC7, seed])
+        p = rng.dirichlet(np.ones(4))
+        mat = np.diag(p).astype(complex)
+        # each coherence up to 0.999 of the largest that keeps rho PSD
+        for i, j in ((0, 3), (1, 2)):
+            c = rng.uniform(0.0, 0.999) * np.sqrt(p[i] * p[j]) * np.exp(2j * np.pi * rng.uniform())
+            mat[i, j], mat[j, i] = c, np.conj(c)
+        self._check(two_qubits, mat)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bell_diagonal_limit(self, two_qubits, seed):
+        mat, c = oracles.bell_diagonal(np.random.default_rng([0xC7, 100 + seed]).dirichlet(np.ones(4)))
+        assert oracles.x_state_discord(mat) == pytest.approx(oracles.bell_diagonal_discord(c), abs=1e-15)
+        self._check(two_qubits, mat)
+
+
 class TestIsNullDiscord:
     def test_constructions_are_null(self, classical2, gbit, qubit, rng):
         cases = []

@@ -1,0 +1,136 @@
+"""The library's Nelder-Mead driver against scipy's, and the import it
+spares: the driver must visit the same points as
+``scipy.optimize.minimize(method="Nelder-Mead")``, so every search value
+stays what it was when scipy ran the refinement."""
+
+import importlib
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize as scipy_minimize
+
+import opdiscord as od
+from opdiscord.neldermead import minimize
+from opdiscord.sampling import random_density_matrix
+
+import oracles
+
+kernel = importlib.import_module("opdiscord.discord")
+
+XATOL, FATOL = 1e-10, 1e-12
+MAXITERS = st.sampled_from([1, 2, 5, 200])
+
+
+def assert_same_run(fun, x0, maxiter, xatol=XATOL, fatol=FATOL):
+    """The driver and scipy from ``x0``: equal final points and counts."""
+    ours = minimize(fun, x0, maxiter, xatol, fatol)
+    ref = scipy_minimize(
+        lambda x: fun(x.tolist()),
+        np.array(x0, dtype=float),
+        method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol},
+    )
+    assert np.array_equal(np.array(ours.x), ref.x)
+    assert ours.nfev == ref.nfev
+    return ours
+
+
+OBJECTIVES = {
+    "bowl": lambda x: sum((i + 1) * (v - 0.1 * i) ** 2 for i, v in enumerate(x)),
+    "rosenbrock": lambda x: sum(
+        100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2 for a, b in zip(x, x[1:])
+    ) + 0.1 * x[0] ** 2,
+    # flat in every coordinate but the first, and stepped in that one:
+    # most simplices hold ties
+    "ties": lambda x: round(x[0], 2) ** 2,
+    "nan": lambda x: math.nan if x[0] > 1.0 else (x[0] - 0.5) ** 2 + x[-1] ** 2,
+}
+
+
+class TestAgainstScipy:
+    @given(
+        n=st.sampled_from([2, 3, 9]),
+        name=st.sampled_from(sorted(OBJECTIVES)),
+        maxiter=MAXITERS,
+        data=st.data(),
+    )
+    def test_same_points_and_counts(self, n, name, maxiter, data):
+        coord = st.floats(-3.0, 3.0, allow_nan=False)
+        x0 = data.draw(st.one_of(st.just([0.0] * n), st.lists(coord, min_size=n, max_size=n)))
+        assert_same_run(OBJECTIVES[name], x0, maxiter)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_constant_objective(self, n):
+        # every value ties at every step
+        res = assert_same_run(lambda x: 1.0, [0.5] * n, 200)
+        assert res.nfev > n + 1
+
+    def test_stops_at_tolerance_before_maxiter(self):
+        res = assert_same_run(OBJECTIVES["bowl"], [1.0, -2.0], 10_000, xatol=1e-6, fatol=1e-8)
+        assert res.nfev < 1000
+        assert res.x == pytest.approx([0.0, 0.1], abs=1e-5)
+
+
+def _library_state(kind, seed):
+    rng = np.random.default_rng([0x4E4D, seed])
+    if kind == "bell-diagonal":
+        return od.compose_theories(od.make_quantum(2), od.make_quantum(2)).state_from_matrix(
+            oracles.bell_diagonal(rng.dirichlet(np.ones(4)))[0]
+        )
+    da = 2 if kind == "ginibre-2x2" else 3
+    ab = od.compose_theories(od.make_quantum(da), od.make_quantum(2))
+    return ab.state_from_matrix(random_density_matrix(2 * da, rng))
+
+
+class TestLibraryObjectives:
+    """Every refinement run of a ``discord`` and an entropic search, with
+    the objectives the search builds (qubit pinching and entropic from the
+    angles, qutrit ones from the rotated basis), repeated under scipy."""
+
+    @settings(max_examples=20)
+    @given(
+        kind=st.sampled_from(["ginibre-2x2", "bell-diagonal", "ginibre-3x2"]),
+        seed=st.integers(0, 2**16),
+        maxiter=MAXITERS,
+    )
+    def test_search_runs_match_scipy(self, kind, seed, maxiter):
+        rho = _library_state(kind, seed)
+        cfg = od.SearchConfig(grid_points=24, restarts=2, refine_iters=maxiter)
+        runs = []
+
+        def checked(fun, x0, maxiter, **tols):
+            # compared while the search's closures are bound to this run
+            runs.append(assert_same_run(fun, x0, maxiter, **tols))
+            return runs[-1]
+
+        with mock.patch.object(kernel, "minimize", checked):
+            od.discord(rho, cfg)
+            od.quantum_discord_entropy(rho, cfg)
+        assert len(runs) >= 2
+
+
+def _imported_modules(args):
+    """Modules a fresh ``python -X importtime ARGS`` imports."""
+    src = str(Path(od.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, flags=re.M)
+
+
+@pytest.mark.parametrize("args", [["-c", "import opdiscord"], ["-m", "opdiscord", "--help"]])
+def test_no_scipy_at_import(args):
+    modules = _imported_modules(args)
+    assert "opdiscord.discord" in modules
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
