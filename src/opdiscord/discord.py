@@ -39,7 +39,7 @@ from .discrimination import (  # noqa: F401  (_grid_stack stays reachable from h
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
 from .fixedbasis import gap_tolerance, solve_fixed_basis
 from .lp import OPTIMAL, solve_lp
-from .neldermead import minimize
+from .neldermead import minimize, minimize_stack
 from .sampling import random_pure_ket
 from .theory import (
     POLYTOPE,
@@ -284,16 +284,21 @@ def _block_measured_J(r: np.ndarray, bases: np.ndarray, s_b: float) -> np.ndarra
     return s_b - np.sum(np.where(kept, p * entropy, 0.0), axis=-1)
 
 
-# One point of the Nelder-Mead refinement at a time.  The driver is the
-# library's own port of scipy's (``neldermead.py``): it visits the same
-# points, and ties in the simplex are ordered by ``np.argsort`` as scipy
-# orders them.  A qubit point arrives as two float angles and is scored
-# with scalar arithmetic.  A qutrit point's
-# pinching distance is the stacked score of a stack of one, but its
-# entropic score reads the diagonal blocks as lists: on one 3 (x) 2 basis
-# numpy's per-call cost makes ``_block_measured_J`` twice as slow
-# (34 against 17 us, 2 vCPUs), enough to lengthen the benchmark's
-# latency tail, which the qutrit items set, by about a fifth.
+# The points of the Nelder-Mead refinement.  The driver is the library's
+# own port of scipy's (``neldermead.py``): it visits the same points, and
+# ties in the simplex are ordered by ``np.argsort`` as scipy orders them.
+# A qubit point arrives as two float angles and is scored with scalar
+# arithmetic (2.6 us for the pinching and 12 us for the entropic score on
+# 2 (x) 2, against 26 us for one stacked pinching call; 2 vCPUs), so
+# qubit restarts run one after another, one point per call.
+# The qutrit restarts run in lockstep, and each round's points come as one
+# stack of bases: their pinching distances are ``_block_pinch_distances``
+# of that stack, and their entropic scores read the diagonal blocks of the
+# stack once and score each basis with ``_point_measured_J`` from lists
+# (the stacked ``_block_measured_J`` takes ``np.log2`` and ``np.hypot`` of
+# arrays, and its last bits differ).  A stacked step gives each basis the
+# bits it would get alone, so every search value is the one the restarts
+# gave run one at a time (``tests/oracles.py::qutrit_search_sequential``).
 
 
 def _cse(theta: float, phi: float) -> tuple[float, float, complex]:
@@ -369,9 +374,10 @@ def _qubit_measured_J(r: np.ndarray, s_b: float):
 
 
 def _expi(h: np.ndarray) -> np.ndarray:
-    """``exp(iH)`` of a Hermitian matrix, as ``V e^{i lambda} V^+`` from its ``eigh``."""
+    """``exp(iH)`` of each Hermitian matrix in a stack ``(..., d, d)``, as
+    ``V e^{i lambda} V^+`` from its ``eigh``."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _marginal_a_matrix(rho_mat: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -631,16 +637,26 @@ def _quantum_basis_search(
     and ties resolve to the lowest grid index.  The best ``cfg.restarts``
     points then seed one Nelder-Mead run each, over the Bloch angles of
     the first ket for a qubit and over a Hermitian generator ``H``
-    rotating the start basis by ``exp(iH)`` otherwise.  Each of its points
-    is scored by ``point_objective``: from the angles ``(theta, phi)`` of
-    ``_basis_from_angles`` for a qubit, passed as floats, else from that
-    one basis.  Both equal ``grid_objective`` up to rounding.
+    rotating the start basis by ``exp(iH)`` otherwise.  The refinement's
+    points are scored by ``point_objective``: for a qubit from the angles
+    ``(theta, phi)`` of ``_basis_from_angles``, passed as floats, one
+    point per call; otherwise from a ``(P, da, da)`` stack of bases, to a
+    list of ``P`` values.  Both equal ``grid_objective`` up to rounding.
 
-    The runs use ``neldermead.minimize``, the library's own port of
-    scipy's Nelder-Mead, which returns the same points and evaluation
-    counts.  Its simplex is ordered by value; when two values tie (the
-    3 (x) 2 generator has flat directions) the order among them is
+    The runs use the library's own port of scipy's Nelder-Mead
+    (``neldermead``), which returns the same points and evaluation counts.
+    Its simplex is ordered by value; when two values tie (the 3 (x) 2
+    generator has flat directions) the order among them is
     ``np.argsort``'s, as in scipy.
+
+    The qutrit restarts run in lockstep (``minimize_stack``): each round
+    builds the pending points' bases of every live run as one stack and
+    scores it in one call, so numpy's per-call cost, which sets the cost
+    of one 3 (x) 2 point, is paid once per round.  Qubit restarts run one
+    after another (``minimize``), since a qubit point's scalar score costs
+    less than one stacked call.  Every stacked step makes, for each basis,
+    the BLAS or LAPACK call that one basis alone makes, so the search
+    returns bit for bit what the restarts return run one at a time.
     """
     da = len(r)
     grid = _grid_bases(da, cfg)
@@ -650,38 +666,44 @@ def _quantum_basis_search(
     best_idx = int(order[0])
     best_basis, best_val = grid[best_idx].copy(), float(scores[best_idx])
 
-    hb = herm.hermitian_basis(da).reshape(da * da, da * da) if da > 2 else None
-    for idx in order[: cfg.restarts]:
-        start_basis = grid[int(idx)]
-        if da == 2:
+    starts = grid[order[: cfg.restarts]]
+    if da == 2:
+        for start_basis in starts:
             ket0 = start_basis[0]
             theta = 2.0 * np.arccos(np.clip(np.abs(ket0[0]), 0.0, 1.0))
             phi = float(np.angle(ket0[1])) if abs(ket0[1]) > 1e-12 else 0.0
-            x0 = [float(theta), phi]
 
-            def basis_of(x):
-                return _basis_from_angles(*x)
-
-            def value_at(x):
+            def score(x):
+                counter[0] += 1
                 return point_objective(*x)
-        else:
-            u0 = start_basis.T
-            x0 = [0.0] * (da * da)
 
-            def basis_of(x):
-                return (_expi((np.array(x) @ hb).reshape(da, da)) @ u0).T
+            res = minimize(score, [float(theta), phi], cfg.refine_iters, xatol=1e-10, fatol=1e-12)
+            val = score(res.x)
+            if val < best_val:
+                best_val, best_basis = val, _basis_from_angles(*res.x)
+        return best_basis, best_val
 
-            def value_at(x):
-                return point_objective(basis_of(x))
+    hb = herm.hermitian_basis(da).reshape(da * da, da * da)
 
-        def score(x):
-            counter[0] += 1
-            return value_at(x)
+    def bases_of(points, owners):
+        # ``xs[:, None, :] @ hb`` makes one vector-matrix product per point,
+        # as ``x @ hb`` does; ``xs @ hb`` would be one matrix product, whose
+        # last bits differ.  The start bases enter as transposed views, the
+        # layout of ``start.T`` for one basis.
+        h = (np.array(points)[:, None, :] @ hb).reshape(-1, da, da)
+        return (_expi(h) @ starts[owners].swapaxes(-1, -2)).swapaxes(-1, -2)
 
-        res = minimize(score, x0, cfg.refine_iters, xatol=1e-10, fatol=1e-12)
-        val = score(res.x)
-        if val < best_val:
-            best_val, best_basis = val, basis_of(res.x)
+    def score(points, owners):
+        counter[0] += len(points)
+        return point_objective(bases_of(points, owners))
+
+    runs = minimize_stack(score, [[0.0] * (da * da)] * len(starts), cfg.refine_iters, xatol=1e-10, fatol=1e-12)
+    if runs:
+        finals = bases_of([res.x for res in runs], list(range(len(runs))))
+        counter[0] += len(finals)
+        for basis, val in zip(finals, point_objective(finals)):
+            if val < best_val:
+                best_val, best_basis = val, basis
     return best_basis, best_val
 
 
@@ -705,8 +727,8 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
             point = _qubit_pinch_distance(r)
         else:
 
-            def point(b: np.ndarray) -> float:
-                return float(_block_pinch_distances(r, b[None])[0])
+            def point(bases: np.ndarray) -> list[float]:
+                return _block_pinch_distances(r, bases).tolist()
 
         basis, _ = _quantum_basis_search(r, cfg, functools.partial(_block_pinch_distances, r), point, counter)
         # the exact optimum over weights and conditionals at the winning
@@ -820,13 +842,13 @@ def quantum_discord_entropy(rho: StateVec, config: SearchConfig | None = None) -
 
     if da == 2:
         measured = _qubit_measured_J(r, s_b)
+
+        def point_objective(theta: float, phi: float) -> float:
+            return info - measured(theta, phi)
     else:
 
-        def measured(b: np.ndarray) -> float:
-            return _point_measured_J(_block_between(r, b, b).tolist(), s_b)
-
-    def point_objective(*x) -> float:
-        return info - measured(*x)
+        def point_objective(bases: np.ndarray) -> list[float]:
+            return [info - _point_measured_J(taus, s_b) for taus in _block_between(r, bases, bases).tolist()]
 
     basis, best = _quantum_basis_search(r, cfg, grid_objective, point_objective, [0])
     j_val = info - best

@@ -507,6 +507,64 @@ def quantum_basis_search_loop(objective, grid, herm_basis, restarts, refine_iter
     return best_basis, best_val
 
 
+def qutrit_search_sequential(r, cfg, grid_objective, point_objective, counter):
+    """The qutrit-first basis search with its refinement one point at a
+    time, as the library ran it before its restarts went in lockstep: the
+    same grid, then one ``neldermead.minimize`` run per restart, each point's
+    basis ``(_expi(x @ hb) @ u0).T`` built alone and scored alone by
+    ``point_objective(basis)`` (see ``one_basis_pinch`` and
+    ``one_basis_entropic``).  Arguments and result as
+    ``opdiscord.discord._quantum_basis_search``, whose evaluation count it
+    adds to ``counter[0]`` the same way."""
+    from opdiscord.herm import hermitian_basis
+    from opdiscord.neldermead import minimize
+
+    kernel = _kernel()
+    da = len(r)
+    grid = kernel._grid_bases(da, cfg)
+    counter[0] += len(grid)
+    scores = grid_objective(grid)
+    order = np.argsort(scores, kind="stable")
+    best_basis, best_val = grid[order[0]].copy(), float(scores[order[0]])
+    hb = hermitian_basis(da).reshape(da * da, da * da)
+    for idx in order[: cfg.restarts]:
+        u0 = grid[int(idx)].T
+
+        def basis_of(x):
+            return (kernel._expi((np.array(x) @ hb).reshape(da, da)) @ u0).T
+
+        def score(x):
+            counter[0] += 1
+            return point_objective(basis_of(x))
+
+        res = minimize(score, [0.0] * (da * da), cfg.refine_iters, xatol=1e-10, fatol=1e-12)
+        val = score(res.x)
+        if val < best_val:
+            best_val, best_basis = val, basis_of(res.x)
+    return best_basis, best_val
+
+
+def one_basis_pinch(r):
+    """The pinching distance of one basis, as a stack of one."""
+    kernel = _kernel()
+    return lambda basis: float(kernel._block_pinch_distances(r, basis[None])[0])
+
+
+def one_basis_entropic(r, info, s_b):
+    """The entropic objective ``I - J`` of one basis, its diagonal blocks
+    read as lists."""
+    kernel = _kernel()
+    return lambda basis: info - kernel._point_measured_J(kernel._block_between(r, basis, basis).tolist(), s_b)
+
+
+def _kernel():
+    """``opdiscord.discord`` the module (the package binds the name
+    ``discord`` to the function)."""
+    import importlib
+
+    return importlib.import_module("opdiscord.discord")
+
+
 def per_basis_dual_loop(rho_mat, kets, db, a0, iters):
     """The certified bound's projected supergradient ascent at one basis,
     one block at a time: ``(best gain, best effect)``."""

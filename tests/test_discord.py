@@ -1,4 +1,5 @@
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -903,21 +904,24 @@ class TestRefinementScores:
                 phi = float(np.angle(basis[0, 1]) - np.angle(basis[0, 0]))
                 assert abs(kernel._qubit_pinch_distance(r)(theta, phi) - want_pinch) <= 1e-13
                 assert abs(kernel._qubit_measured_J(r, s_b)(theta, phi) - want_j) <= 1e-13
-            else:  # a qutrit point's pinching is a stack of one, its J the list form
+            else:  # one qutrit basis: its pinching as a stack of one, its J the list form
                 assert abs(kernel._block_pinch_distances(r, basis[None])[0] - want_pinch) <= 1e-13
                 taus = kernel._block_between(r, basis, basis).tolist()
                 assert abs(kernel._point_measured_J(taus, s_b) - want_j) <= 1e-13
 
     @settings(max_examples=60)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.floats(0.0, 6.0))
-    def test_eigh_exponential_matches_expm(self, seed, d, scale):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.floats(0.0, 6.0), st.integers(1, 5))
+    def test_eigh_exponential_matches_expm(self, seed, d, scale, stack):
         from scipy.linalg import expm
 
         rng = np.random.default_rng(seed)
-        h = np.einsum("k,kij->ij", scale * rng.normal(size=d * d), hermitian_basis(d))
-        u = kernel._expi(h)
-        assert np.max(np.abs(u - expm(1j * h))) <= 1e-13
-        assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-13
+        hs = np.einsum("gk,kij->gij", scale * rng.normal(size=(stack, d * d)), hermitian_basis(d))
+        us = kernel._expi(hs)
+        for h, u in zip(hs, us):
+            # a stacked call makes each matrix's arithmetic of a call on it alone
+            assert np.array_equal(u, kernel._expi(h))
+            assert np.max(np.abs(u - expm(1j * h))) <= 1e-13
+            assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-13
 
 
 class TestSearchAgainstOldRefinement:
@@ -947,6 +951,60 @@ class TestSearchAgainstOldRefinement:
         info = rep.mutual_information
         _, old_best = search(lambda b: info - oracles.measured_J(mat, b, da, 2, rep.S_B))
         assert abs(rep.discord_value - max(old_best, 0.0)) <= 1e-12
+
+
+class TestLockstepAgainstSequentialSearch:
+    """The qutrit refinement runs its restarts in lockstep and scores each
+    round as one stack; every stacked step makes the same per-basis
+    arithmetic as one basis alone, so the search returns the sequential
+    oracle's basis, value and evaluation count bit for bit."""
+
+    CONFIGS = {
+        "default": {"grid_points": 60},
+        "no restarts": {"grid_points": 60, "restarts": 0},
+        "more restarts than grid points": {"grid_points": 2, "restarts": 4},
+        "one iteration": {"grid_points": 60, "refine_iters": 1},
+    }
+
+    @pytest.mark.parametrize(
+        "db, kind, seed, config",
+        [(db, kind, seed, "default") for db in (2, 3) for kind in ("ginibre", "rank two") for seed in (11, 12)]
+        + [(2, "ginibre", 13, name) for name in ("no restarts", "more restarts than grid points", "one iteration")],
+    )
+    def test_bit_identical(self, db, kind, seed, config):
+        rng = np.random.default_rng([seed, db])
+        if kind == "ginibre":
+            mat = random_density_matrix(3 * db, rng)
+        else:
+            kets = [random_pure_ket(3 * db, rng) for _ in range(2)]
+            mat = 0.6 * dm(kets[0]) + 0.4 * dm(kets[1])
+        rho = od.compose_theories(od.make_quantum(3), od.make_quantum(db)).state_from_matrix(mat)
+        cfg = od.SearchConfig(**self.CONFIGS[config])
+        s_a, s_b, s_ab, *_ = kernel._entropies(rho)
+        searches = []
+        lockstep = kernel._quantum_basis_search
+
+        def compared(point_of):
+            def search(r, cfg, grid_objective, point_objective, counter):
+                seq_counter = [counter[0]]
+                want = oracles.qutrit_search_sequential(r, cfg, grid_objective, point_of(r), seq_counter)
+                got = lockstep(r, cfg, grid_objective, point_objective, counter)
+                searches.append((got, want, counter[0], seq_counter[0]))
+                return got
+
+            return search
+
+        with mock.patch.object(kernel, "_quantum_basis_search", compared(oracles.one_basis_pinch)):
+            od.discord(rho, cfg)
+        entropic = compared(lambda r: oracles.one_basis_entropic(r, s_a + s_b - s_ab, s_b))
+        with mock.patch.object(kernel, "_quantum_basis_search", entropic):
+            rep = od.quantum_discord_entropy(rho, cfg)
+        assert len(searches) == 2
+        for (basis, value), (want_basis, want_value), count, want_count in searches:
+            assert np.array_equal(basis, want_basis)
+            assert value == want_value
+            assert count == want_count
+        assert np.array_equal(rep.optimal_measurement, searches[1][1][0])
 
 
 class TestConvergedFlag:

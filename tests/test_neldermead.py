@@ -1,7 +1,8 @@
-"""The library's Nelder-Mead driver against scipy's, and the import it
-spares: the driver must visit the same points as
-``scipy.optimize.minimize(method="Nelder-Mead")``, so every search value
-stays what it was when scipy ran the refinement."""
+"""The library's Nelder-Mead drivers against scipy's, and the import they
+spare: each run must visit the same points as
+``scipy.optimize.minimize(method="Nelder-Mead")``, whether ``minimize``
+drives it alone or ``minimize_stack`` drives it in lockstep with others,
+so every search value stays what it was when scipy ran the refinement."""
 
 import importlib
 import math
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 import opdiscord as od
-from opdiscord.neldermead import minimize
+from opdiscord.neldermead import minimize, minimize_stack
 from opdiscord.sampling import random_density_matrix
 
 import oracles
@@ -79,6 +80,48 @@ class TestAgainstScipy:
         assert res.x == pytest.approx([0.0, 0.1], abs=1e-5)
 
 
+class TestLockstep:
+    """``minimize_stack`` runs each start as ``minimize`` would run it alone."""
+
+    @given(
+        n=st.sampled_from([2, 3, 9]),
+        name=st.sampled_from(sorted(OBJECTIVES)),
+        maxiter=MAXITERS,
+        data=st.data(),
+    )
+    def test_each_run_is_its_own_minimize(self, n, name, maxiter, data):
+        coord = st.floats(-3.0, 3.0, allow_nan=False)
+        start = st.one_of(st.just([0.0] * n), st.lists(coord, min_size=n, max_size=n))
+        starts = data.draw(st.lists(start, min_size=1, max_size=5))
+        # run k minimizes a k-dependent objective, so runs tell ties apart
+        # differently and stop at different rounds
+        base = OBJECTIVES[name]
+
+        def one(k, x):
+            return base(x) * (1.0 + k) + 0.01 * k * x[-1]
+
+        rounds = []
+
+        def stacked(points, owners):
+            rounds.append(list(owners))
+            return [one(k, x) for x, k in zip(points, owners)]
+
+        got = minimize_stack(stacked, starts, maxiter, XATOL, FATOL)
+        assert len(got) == len(starts)
+        for k, (x0, res) in enumerate(zip(starts, got)):
+            alone = minimize(lambda x, k=k: one(k, x), x0, maxiter, XATOL, FATOL)
+            assert res.x == alone.x
+            assert res.nfev == alone.nfev
+        # one call per round, the live runs' points grouped run by run
+        assert all(owners == sorted(owners) for owners in rounds)
+        assert sum(map(len, rounds)) == sum(res.nfev for res in got)
+
+    def test_no_starts(self):
+        calls = []
+        assert minimize_stack(lambda p, o: calls.append(p) or [], [], 200, XATOL, FATOL) == []
+        assert calls == []
+
+
 def _library_state(kind, seed):
     rng = np.random.default_rng([0x4E4D, seed])
     if kind == "bell-diagonal":
@@ -93,7 +136,9 @@ def _library_state(kind, seed):
 class TestLibraryObjectives:
     """Every refinement run of a ``discord`` and an entropic search, with
     the objectives the search builds (qubit pinching and entropic from the
-    angles, qutrit ones from the rotated basis), repeated under scipy."""
+    angles, qutrit ones from the rotated basis), repeated under scipy.  A
+    qutrit run, driven in lockstep, is repeated on its own objective: its
+    points scored as a stack of one."""
 
     @settings(max_examples=20)
     @given(
@@ -111,7 +156,17 @@ class TestLibraryObjectives:
             runs.append(assert_same_run(fun, x0, maxiter, **tols))
             return runs[-1]
 
-        with mock.patch.object(kernel, "minimize", checked):
+        def checked_stack(fun, starts, maxiter, **tols):
+            got = minimize_stack(fun, starts, maxiter, **tols)
+            for k, (x0, res) in enumerate(zip(starts, got)):
+                ref = assert_same_run(lambda x, k=k: fun([x], [k])[0], x0, maxiter, **tols)
+                assert res.x == ref.x and res.nfev == ref.nfev
+                runs.append(res)
+            return got
+
+        with mock.patch.object(kernel, "minimize", checked), mock.patch.object(
+            kernel, "minimize_stack", checked_stack
+        ):
             od.discord(rho, cfg)
             od.quantum_discord_entropy(rho, cfg)
         assert len(runs) >= 2
