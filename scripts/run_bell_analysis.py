@@ -47,7 +47,7 @@ def main() -> int:
 
     basis = od.find_fixed_point_basis(rho)
     if basis is None:
-        print("pinching fixed point      : none under the search budget (discordant state)")
+        print("pinching fixed point      : none among the four candidates (discordant state)")
     else:
         print("pinching fixed point      : found (null-discord state)")
     return 0

@@ -11,6 +11,12 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def require_tolerance(name: str, tol) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite number >= 0 (a bool is not)."""
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol < math.inf):
+        raise ValueError(f"{name} must be a finite number >= 0, not {tol!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the grid-plus-refinement searches.
@@ -36,9 +42,7 @@ class SearchConfig:
             raise ValueError(f"restarts must be an integer >= 0, not {self.restarts!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
-        tol = self.tol_zero
-        if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol < math.inf):
-            raise ValueError(f"tol_zero must be a finite number >= 0, not {tol!r}")
+        require_tolerance("tol_zero", self.tol_zero)
 
     def resolved_grid_points(self, levels: int) -> int:
         if self.grid_points is not None:

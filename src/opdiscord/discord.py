@@ -27,11 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import herm
-from .config import DEFAULT_CONFIG, SearchConfig
-from .discrimination import (  # noqa: F401  (_grid_stack stays reachable from here)
+from .config import DEFAULT_CONFIG, SearchConfig, require_tolerance
+from .discrimination import (
     _basis_from_angles,
     _grid_bases,
-    _grid_stack,
     _helstrom,
     are_perfectly_distinguishable,
     maximal_distinguishable_pure_families,
@@ -55,8 +54,6 @@ from .theory import (
 
 ZERO_WEIGHT_TOL = 1e-12
 FIXED_POINT_TOL = 1e-9
-DEGENERACY_GAP = 1e-8
-ROTATION_GRID = 24
 
 
 @dataclass(frozen=True)
@@ -227,12 +224,6 @@ def _block_between(r: np.ndarray, bras: np.ndarray, kets: np.ndarray) -> np.ndar
     return (coef.reshape(-1, da * da) @ r.reshape(da * da, -1)).reshape(coef.shape[:-2] + (-1,))
 
 
-def _frame_stack(r: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """All blocks ``M_kl`` of each basis in a stack ``(G, K, da)``,
-    ``(G, K, K, db*db)``."""
-    return _block_between(r, bases[:, :, None], bases[:, None])
-
-
 def _block_pinch_distances(r: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Distance from ``rho`` to its pinching in each basis, shape (G,):
     half the trace norm of the off-diagonal blocks, which on 2 (x) 2 is
@@ -243,24 +234,9 @@ def _block_pinch_distances(r: np.ndarray, bases: np.ndarray) -> np.ndarray:
         b = _block_between(r, bases[:, 0], bases[:, 1])
         frob = np.sum(b.real**2 + b.imag**2, axis=-1)
         return np.sqrt(frob + 2.0 * np.abs(b[:, 0] * b[:, 3] - b[:, 1] * b[:, 2]))
-    off = _frame_stack(r, bases).reshape(g, k, k, db, db)
+    off = _block_between(r, bases[:, :, None], bases[:, None]).reshape(g, k, k, db, db)
     off[:, range(k), range(k)] = 0.0
     return herm.half_trace_norm(off.swapaxes(2, 3).reshape(g, k * db, k * db))
-
-
-def _off_diagonal_norms(r: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """``sqrt(sum_{k != l} ||M_kl||_F^2)`` per basis: the Frobenius norm
-    of ``rho`` minus its pinching, summed from the off-diagonal blocks
-    themselves (``||rho||^2 - sum_k ||tau_k||^2`` would cancel).  For a
-    qubit first factor ``M_10 = M_01^+``, so the sum is ``2 ||M_01||_F^2``:
-    one block instead of four (0.2 against 1.6 ms on 2576 bases, 2 vCPUs;
-    it halves the fixed-point search on a 2 (x) 2 state)."""
-    if bases.shape[1] == 2:
-        b = _block_between(r, bases[:, 0], bases[:, 1])
-        return np.sqrt(2.0 * np.sum(b.real**2 + b.imag**2, axis=-1))
-    m = _frame_stack(r, bases)
-    sq = np.sum(m.real**2 + m.imag**2, axis=-1)
-    return np.sqrt(np.sum(sq * (1.0 - np.eye(bases.shape[1])), axis=(-2, -1)))
 
 
 def _block_measured_J(r: np.ndarray, bases: np.ndarray, s_b: float) -> np.ndarray:
@@ -403,17 +379,6 @@ def _kets_from_family(family: tuple[StateVec, ...]) -> np.ndarray:
     return kets
 
 
-def _angle_grid_bases(n_theta: int, n_phi: int) -> np.ndarray:
-    """Qubit bases on the latitude-longitude grid of ``n_theta`` polar
-    angles in ``[0, pi]`` and ``n_phi`` azimuths, theta-major, ``(G, 2, 2)``."""
-    theta, phi = np.meshgrid(
-        np.linspace(0.0, np.pi, n_theta),
-        np.linspace(-np.pi, np.pi, n_phi, endpoint=False),
-        indexing="ij",
-    )
-    return _basis_from_angles(theta, phi).reshape(-1, 2, 2)
-
-
 def _quantum_decomposition(
     ab: TheoryModel, kets: np.ndarray, taus: np.ndarray
 ) -> NullDiscordDecomposition:
@@ -449,60 +414,39 @@ def _require_basis(basis, da: int) -> np.ndarray:
 
 
 def check_vonneumann_fixed_point(rho: StateVec, basis: np.ndarray, tol: float = FIXED_POINT_TOL) -> bool:
-    """Whether pinching in ``basis`` (rows are kets) leaves ``rho`` unchanged."""
+    """Whether pinching in ``basis`` (rows are kets) leaves ``rho`` unchanged,
+    to ``tol`` in each Hermitian-basis coordinate.  A negative, non-finite
+    or bool ``tol`` raises ``ValueError``."""
+    require_tolerance("tol", tol)
     da, db = _require_quantum_bipartite(rho)
     basis = _require_basis(basis, da)
     residual = _pinch_residuals(rho.matrix(), basis[None], da, db, rho.system.herm_basis)[0]
     return bool(residual <= tol)
 
 
-def _degenerate_rotation_bases(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rotation grid inside degenerate eigenspaces of the marginal.
-
-    Pairs of nearly equal eigenvalues get a full two-parameter rotation
-    grid (ROTATION_GRID angles per parameter) applied to their
-    eigenvectors; a fully degenerate qubit marginal reduces to a grid
-    over all bases.  Returns a ``(R, d, d)`` stack, possibly empty.
-    """
-    d = len(w)
-    clusters = []
-    start = 0
-    for i in range(1, d + 1):
-        if i == d or w[i] - w[i - 1] > DEGENERACY_GAP:
-            if i - start >= 2:
-                clusters.append((start, i))
-            start = i
-    rot = _angle_grid_bases(ROTATION_GRID, ROTATION_GRID)
-    out = [np.empty((0, d, d), dtype=complex)]
-    for lo, hi in clusters:
-        for i in range(lo, hi - 1):
-            cols = np.broadcast_to(u, rot.shape[:1] + (d, d)).astype(complex)
-            sub = u[:, [i, i + 1]]
-            cols[..., i] = (sub @ rot[:, 0, :, None])[..., 0]
-            cols[..., i + 1] = (sub @ rot[:, 1, :, None])[..., 0]
-            out.append(cols.swapaxes(-1, -2))
-    return np.concatenate(out)
-
-
 def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) -> np.ndarray | None:
     """Search for a measurement basis whose pinching fixes ``rho``.
 
-    Candidates, in order: the eigenbasis of the first marginal,
-    eigenbases of conditional compressions ``(I (x) <phi|) rho (I (x) |phi>)``
-    for a few seeded probe vectors (these recover the basis exactly for
-    any classical-quantum state, degenerate weights included), rotation
-    grids inside degenerate marginal eigenspaces, and the measurement
-    grid.  Returns the first basis passing the fixed-point check, or
-    None when the budget is exhausted.  The two grids are built only
-    when the first four candidates fail, and only their bases that pass
-    an exact Frobenius-norm filter get the full check.
+    The candidates, in order, are the eigenbasis of the first marginal
+    and the eigenbases of three conditional compressions
+    ``(I (x) <phi|) rho (I (x) |phi>)`` at probe vectors ``phi`` drawn
+    from ``config.seed``.  Returns the first candidate that passes
+    ``check_vonneumann_fixed_point``, or None when none of the four does.
+
+    For a classical-quantum state ``sum_k p_k |k><k| (x) tau_k`` each
+    compression is diagonal in ``{|k>}``, with entries
+    ``p_k <phi|tau_k|phi>``.  Two entries tie at a random ``phi`` (with
+    probability one) only when ``p_k tau_k = p_l tau_l``, and then any
+    basis of that pair fixes the state, so the candidates recognize
+    every cq state, degenerate weights included.  A state within a few
+    times the check's tolerance of a cq state can read either way.
     """
     cfg = config or DEFAULT_CONFIG
     da, db = _require_quantum_bipartite(rho)
     rho_mat = rho.matrix()
     rr = rho_mat.reshape(da, db, da, db)
 
-    w, u = np.linalg.eigh(_marginal_a_matrix(rho_mat, da, db))
+    _, u = np.linalg.eigh(_marginal_a_matrix(rho_mat, da, db))
     candidates: list[np.ndarray] = [u.T.copy()]
 
     rng = np.random.default_rng(cfg.seed)
@@ -515,19 +459,7 @@ def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) ->
     for basis in candidates:
         if check_vonneumann_fixed_point(rho, basis):
             return basis
-
-    # The rotation and measurement grids are built only once those fail.
-    # ``herm_basis`` is orthonormal, so the coordinates of ``rho`` minus its
-    # pinching have Euclidean norm ``||delta||_F`` and the largest is at
-    # least ``||delta||_F / (da*db)``: a basis whose off-diagonal blocks
-    # are larger than that allows (twice, for rounding) cannot pass, and
-    # only the others get the exact check.
-    stack = np.concatenate([_degenerate_rotation_bases(w, u), _grid_bases(da, cfg)])
-    norms = _off_diagonal_norms(_block_rows(rho_mat, da, db), stack)
-    near = np.flatnonzero(norms <= 2.0 * da * db * FIXED_POINT_TOL)
-    residuals = _pinch_residuals(rho_mat, stack[near], da, db, rho.system.herm_basis)
-    passing = near[residuals <= FIXED_POINT_TOL]
-    return stack[passing[0]].copy() if passing.size else None
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SearchConfig
-from .discord import _angle_grid_bases, discord
+from .discord import discord
+from .discrimination import _basis_from_angles
 from .fixedbasis import solve_fixed_basis
 from .sampling import random_state
 from .theory import (
@@ -85,6 +86,17 @@ def is_simplicial(theory: TheoryModel) -> SimplexReport:
 
 # ---------------------------------------------------------------------------
 # certified lower bound (first factor a qubit)
+
+
+def _angle_grid_bases(n_theta: int, n_phi: int) -> np.ndarray:
+    """Qubit bases on the latitude-longitude grid of ``n_theta`` polar
+    angles in ``[0, pi]`` and ``n_phi`` azimuths, theta-major, ``(G, 2, 2)``."""
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, np.pi, n_theta),
+        np.linspace(-np.pi, np.pi, n_phi, endpoint=False),
+        indexing="ij",
+    )
+    return _basis_from_angles(theta, phi).reshape(-1, 2, 2)
 
 
 def certified_discord_lower_bound(

@@ -442,24 +442,24 @@ def measured_J(rho_mat: np.ndarray, kets: np.ndarray, da: int, db: int, s_b: flo
     return out
 
 
-def fixed_point_basis_loop(rho_mat, da, db, herm_basis, grid, seed, direct=True, tol=1e-9):
-    """The fixed-point search without its Frobenius filter: the marginal
-    eigenbasis and three conditional-compression eigenbases (unless
-    ``direct`` is False), then the degenerate rotation bases and ``grid``,
-    each checked with the full ``pinch_residual`` in turn.  Returns the
-    first basis that passes, or None."""
+def fixed_point_candidates_loop(rho_mat, da, db, seed):
+    """The fixed-point search's four candidates, in order: the marginal
+    eigenbasis and three conditional-compression eigenbases at probe
+    vectors drawn from ``default_rng(seed)``."""
     rr = rho_mat.reshape(da, db, da, db)
-    w, u = np.linalg.eigh(np.einsum("abcb->ac", rr))
-    candidates = []
-    if direct:
-        candidates.append(u.T.copy())
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            phi = rng.normal(size=db) + 1j * rng.normal(size=db)
-            phi /= np.linalg.norm(phi)
-            candidates.append(np.linalg.eigh(np.einsum("abcd,b,d->ac", rr, phi.conj(), phi))[1].T.copy())
-    candidates += list(degenerate_rotation_bases_loop(w, u)) + list(grid)
-    for basis in candidates:
+    candidates = [np.linalg.eigh(np.einsum("abcb->ac", rr))[1].T.copy()]
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        phi = rng.normal(size=db) + 1j * rng.normal(size=db)
+        phi /= np.linalg.norm(phi)
+        candidates.append(np.linalg.eigh(np.einsum("abcd,b,d->ac", rr, phi.conj(), phi))[1].T.copy())
+    return candidates
+
+
+def fixed_point_basis_loop(rho_mat, da, db, herm_basis, seed, tol=1e-9):
+    """The first of the four candidates that passes the full
+    ``pinch_residual`` check, or None."""
+    for basis in fixed_point_candidates_loop(rho_mat, da, db, seed):
         if pinch_residual(rho_mat, basis, da, db, herm_basis) <= tol:
             return basis
     return None
@@ -605,12 +605,11 @@ def certified_bound_loop(rho_mat, db, n_theta, n_phi, iters=40):
 
 
 # ---------------------------------------------------------------------------
-# the conditional polish, the fixed-point rotation grid and the Haar grid
+# the conditional polish and the Haar grid
 #
 # The package once polished the conditionals with 16 Nelder-Mead starts;
 # the fixed-basis solver replaced that polish, which is kept here as the
-# reference its values are compared with.  The package builds the
-# rotation grid for every angle at once; these are the row-by-row forms.
+# reference its values are compared with.
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -691,33 +690,6 @@ def _basis_from_angles(theta, phi):
     k0 = np.array([np.cos(half), np.sin(half) * np.exp(1j * phi)])
     k1 = np.array([np.sin(half), -np.cos(half) * np.exp(1j * phi)])
     return np.stack([k0, k1])
-
-
-def degenerate_rotation_bases_loop(w, u, grid=24, gap=1e-8):
-    """Rotation bases inside each pair of nearly equal eigenvalues of a
-    marginal, one ``(theta, phi)`` at a time, stacked ``(R, d, d)``."""
-    out = []
-    d = len(w)
-    clusters = []
-    start = 0
-    for i in range(1, d + 1):
-        if i == d or w[i] - w[i - 1] > gap:
-            if i - start >= 2:
-                clusters.append((start, i))
-            start = i
-    thetas = np.linspace(0.0, np.pi, grid)
-    phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-    for lo, hi in clusters:
-        for i in range(lo, hi - 1):
-            for theta in thetas:
-                for phi in phis:
-                    rot = _basis_from_angles(theta, phi)
-                    cols = u.copy()
-                    sub = u[:, [i, i + 1]]
-                    cols[:, i] = sub @ rot[0]
-                    cols[:, i + 1] = sub @ rot[1]
-                    out.append(cols.T)
-    return np.array(out, dtype=complex).reshape(-1, d, d)
 
 
 def haar_basis_loop(d: int, n: int, seed: int) -> list[np.ndarray]:

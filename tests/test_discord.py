@@ -497,6 +497,12 @@ class TestFixedPoint:
             with pytest.raises(od.InvalidStateError, match="finite"):
                 check(bell_state, basis)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, True])
+    def test_bad_tol_rejected(self, bell_state, tol):
+        # inf and True used to say that pinching fixes a Bell state, nan and -1 read False
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            od.check_vonneumann_fixed_point(bell_state, np.stack([KET0, KET1]), tol)
+
     def test_find_basis_distinct_weights(self, two_qubits):
         mat = 0.3 * np.kron(dm(KET0), dm(KETP)) + 0.7 * np.kron(dm(KET1), dm(KET0))
         basis = od.find_fixed_point_basis(two_qubits.state_from_matrix(mat))
@@ -532,6 +538,47 @@ class TestFixedPoint:
         for _ in range(5):
             rho = random_entangled_pure(two_qubits, rng)
             assert od.find_fixed_point_basis(rho) is None
+
+
+def _cq_panel_state(seed, da, db, basis, weights, conditionals):
+    """``sum_k p_k |k><k| (x) tau_k`` on ``da (x) db``, in a Haar or the
+    computational basis.  Weights: distinct, equal, or distinct with one
+    outcome at zero.  Conditionals: mixed, pure, mixed with
+    ``tau_1 = tau_0``, or all equal (with equal weights, ``I/da (x) tau``)."""
+    rng = np.random.default_rng(seed)
+    kets = random_haar_basis(da, rng) if basis == "haar" else np.eye(da, dtype=complex)
+    p = np.full(da, 1.0 / da) if weights == "equal" else rng.dirichlet(np.ones(da))
+    if weights == "zero":
+        p[rng.integers(da)] = 0.0
+        p /= p.sum()
+    if conditionals == "pure":
+        taus = [dm(random_pure_ket(db, rng)) for _ in range(da)]
+    else:
+        taus = [random_density_matrix(db, rng) for _ in range(da)]
+    if conditionals == "shared pair":
+        taus[1] = taus[0]
+    elif conditionals == "all equal":
+        taus = [taus[0]] * da
+    mat = sum(w * np.kron(dm(k), t) for w, k, t in zip(p, kets, taus))
+    return od.compose_theories(od.make_quantum(da), od.make_quantum(db)).state_from_matrix(mat)
+
+
+class TestCqPanel:
+    @settings(max_examples=100)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([2, 3]),
+        st.sampled_from(["haar", "computational"]),
+        st.sampled_from(["distinct", "equal", "zero"]),
+        st.sampled_from(["mixed", "pure", "shared pair", "all equal"]),
+    )
+    def test_four_candidates_recognize_every_cq_state(self, seed, da, db, basis, weights, conditionals):
+        rho = _cq_panel_state(seed, da, db, basis, weights, conditionals)
+        for cfg in (od.SearchConfig(), od.SearchConfig(seed=7)):
+            found = od.find_fixed_point_basis(rho, cfg)
+            assert found is not None
+            assert od.check_vonneumann_fixed_point(rho, found)
 
 
 class TestEntropicDiscord:
@@ -616,6 +663,7 @@ class TestNonStatesRejected:
 # the stacked quantum kernel against its one-basis-at-a-time oracles
 
 kernel = importlib.import_module("opdiscord.discord")
+discrimination = importlib.import_module("opdiscord.discrimination")
 
 
 def _kernel_case(seed, da, db, count, kind, transposed):
@@ -699,40 +747,38 @@ class TestStackedKernel:
         want = [oracles.measured_J(rho, b, da, db, s_b) for b in bases]
         assert np.max(np.abs(got - want)) <= 1e-13
 
-    @settings(max_examples=30)
-    @given(kernel_cases)
-    def test_off_diagonal_norm_bounds_the_residual(self, case):
-        # the fixed-point filter: the largest of the D^2 orthonormal
-        # coordinates of delta = rho - pinching lies in [||delta||_F / D, ||delta||_F]
-        rho, bases = case
-        da = bases.shape[1]
-        db = rho.shape[0] // da
-        herm_basis = od.compose_theories(od.make_quantum(da), od.make_quantum(db)).herm_basis
-        norms = kernel._off_diagonal_norms(kernel._block_rows(rho, da, db), bases)
-        for basis, norm in zip(bases, norms):
-            delta = rho - oracles.kron_cq_matrix(basis, oracles.basis_blocks(rho, basis, da, db))
-            frob = np.linalg.norm(delta)
-            assert abs(norm - frob) <= 1e-14
-            residual = oracles.pinch_residual(rho, basis, da, db, herm_basis)
-            assert frob / (da * db) <= residual + 1e-15
-            assert residual <= frob + 1e-15
-
 
 class TestMeasurementGrid:
     def _cq_qutrit_qubit(self, seed):
         return random_cq_state(od.compose_theories(od.make_quantum(3), od.make_quantum(2)),
                                np.random.default_rng(seed))
 
-    def test_fixed_point_found_without_building_the_grid(self, monkeypatch):
+    @pytest.fixture()
+    def unbuilt_grid(self, monkeypatch):
         def unbuilt(*args, **kwargs):
             raise AssertionError("the measurement grid was built")
 
         monkeypatch.setattr(kernel, "_grid_bases", unbuilt)
+
+    def test_fixed_point_found_without_building_the_grid(self, unbuilt_grid):
         for seed in range(5):
             rho = self._cq_qutrit_qubit(seed)
             basis = od.find_fixed_point_basis(rho)
             assert basis is not None
             assert od.check_vonneumann_fixed_point(rho, basis)
+
+    @pytest.mark.parametrize("kind", ["bell", "werner", "ginibre 2x2", "ginibre 3x2"])
+    def test_discordant_state_rejected_without_building_the_grid(self, unbuilt_grid, kind):
+        # the search ends after its four direct candidates
+        rng = np.random.default_rng(5)
+        da = 3 if kind == "ginibre 3x2" else 2
+        if kind.startswith("ginibre"):
+            mat = random_density_matrix(2 * da, rng)
+        else:
+            p = 1.0 if kind == "bell" else 0.5
+            mat = p * dm(BELL) + (1.0 - p) * np.eye(4) / 4.0
+        rho = od.compose_theories(od.make_quantum(da), od.make_quantum(2)).state_from_matrix(mat)
+        assert od.find_fixed_point_basis(rho) is None
 
     def test_grid_is_cached_and_read_only(self):
         cfg = od.SearchConfig(grid_points=50)
@@ -745,19 +791,8 @@ class TestMeasurementGrid:
 
     @pytest.mark.parametrize("seed", [0x5EED, 7])
     def test_qutrit_grid_is_the_seeded_haar_loop(self, seed):
-        grid = kernel._grid_stack(3, 200, seed)
+        grid = discrimination._grid_stack(3, 200, seed)
         assert np.array_equal(grid, np.array(oracles.haar_basis_loop(3, 200, seed)))
-
-    def test_grid_basis_returned_by_fixed_point_search_is_a_fresh_copy(self, two_qubits, monkeypatch):
-        cfg = od.SearchConfig(grid_points=40)
-        grid = kernel._grid_bases(2, cfg)
-        kets = grid[5]
-        mat = 0.3 * np.kron(dm(kets[0]), dm(KETP)) + 0.7 * np.kron(dm(kets[1]), dm(KET0))
-        # make the four direct candidates fail, so the grid step answers
-        monkeypatch.setattr(kernel, "check_vonneumann_fixed_point", lambda *args, **kwargs: False)
-        basis = od.find_fixed_point_basis(two_qubits.state_from_matrix(mat), cfg)
-        assert np.array_equal(basis, kets)
-        assert basis.flags.writeable and not np.shares_memory(basis, grid)
 
     def test_grid_basis_returned_by_search_is_a_fresh_copy(self, bell_state):
         cfg = od.SearchConfig(grid_points=40, restarts=0)
@@ -768,8 +803,8 @@ class TestMeasurementGrid:
         assert basis.flags.writeable and not np.shares_memory(basis, grid)
 
 
-# the fixed-point search behind its Frobenius filter against the search
-# that checks every basis in full (kept in ``tests/oracles.py``)
+# the fixed-point search against its candidate-by-candidate oracle (kept
+# in ``tests/oracles.py``), and with its four candidates made to fail
 
 
 def _fixed_point_case(seed, da, kind, grid):
@@ -780,7 +815,7 @@ def _fixed_point_case(seed, da, kind, grid):
     kets = grid[rng.integers(len(grid))]
     weights = np.full(da, 1.0 / da) if kind == "degenerate cq" else rng.dirichlet(np.ones(da))
     cq = sum(w * np.kron(dm(k), random_density_matrix(2, rng)) for w, k in zip(weights, kets))
-    if kind == "near cq":  # ||delta||_F below, near and above the filter's threshold
+    if kind == "near cq":  # within a few times the check's tolerance: either verdict
         eps = (1e-9, 4e-9, 1e-8)[seed % 3]
         return (1.0 - eps) * cq + eps * random_density_matrix(2 * da, rng)
     if kind == "maximally mixed marginal":
@@ -799,15 +834,19 @@ class TestFixedPointFilter:
     @pytest.mark.parametrize("direct", [True, False])
     def test_matches_the_unfiltered_search(self, da, kind, seed, direct, monkeypatch):
         cfg = od.SearchConfig(grid_points=40, seed=seed)
-        grid = kernel._grid_bases(da, cfg)
-        mat = _fixed_point_case(seed, da, kind, grid)
+        mat = _fixed_point_case(seed, da, kind, kernel._grid_bases(da, cfg))
         rho = od.compose_theories(od.make_quantum(da), od.make_quantum(2)).state_from_matrix(mat)
-        if not direct:  # make the four direct candidates fail, so the grids answer
-            monkeypatch.setattr(kernel, "check_vonneumann_fixed_point", lambda *args, **kwargs: False)
+        if not direct:  # every candidate fails: the four are checked in order, and nothing follows
+            check = mock.Mock(return_value=False)
+            monkeypatch.setattr(kernel, "check_vonneumann_fixed_point", check)
+            assert od.find_fixed_point_basis(rho, cfg) is None
+            checked = [call.args[1] for call in check.call_args_list]
+            want = oracles.fixed_point_candidates_loop(rho.matrix(), da, 2, cfg.seed)
+            assert len(checked) == len(want) == 4
+            assert all(np.array_equal(got, basis) for got, basis in zip(checked, want))
+            return
         got = od.find_fixed_point_basis(rho, cfg)
-        want = oracles.fixed_point_basis_loop(
-            rho.matrix(), da, 2, rho.system.herm_basis, grid, cfg.seed, direct
-        )
+        want = oracles.fixed_point_basis_loop(rho.matrix(), da, 2, rho.system.herm_basis, cfg.seed)
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array_equal(got, want)
@@ -815,22 +854,6 @@ class TestFixedPointFilter:
             assert got is None
         elif kind in ("cq", "degenerate cq", "maximally mixed marginal"):
             assert got is not None
-
-
-# the stacked rotation grid against its angle-by-angle oracle
-
-
-class TestRotationGrid:
-    @settings(max_examples=30)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([
-        [0.5, 0.5], [0.3, 0.7], [0.2, 0.4, 0.4], [0.25, 0.25, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.1, 0.3, 0.6],
-    ]))
-    def test_stacked_grid_matches_angle_loop(self, seed, w):
-        u = random_haar_basis(len(w), np.random.default_rng(seed)).T
-        w = np.array(w)
-        got = kernel._degenerate_rotation_bases(w, u)
-        assert np.array_equal(got, oracles.degenerate_rotation_bases_loop(w, u))
-        assert got.shape[1:] == (len(w), len(w))
 
 
 # the refinement's one-basis scores against the stacked kernel, and the
