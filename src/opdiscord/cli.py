@@ -154,21 +154,7 @@ def _cmd_theorem3(args) -> int:
     # wall-clock, like the timestamps, so it stays out of the rows
     manifest["row_runtime_ms"] = [r.runtime_ms for r in rows]
     if args.format == "json":
-        report = {
-            "rows": [
-                {
-                    "theory": r.theory,
-                    "dim": r.dim,
-                    "pure_count": r.pure_count if r.pure_count != float("inf") else "inf",
-                    "is_simplex": r.is_simplex,
-                    "witness_found": r.witness_found,
-                    "discord_lower_bound": r.discord_lower_bound,
-                }
-                for r in rows
-            ],
-            "manifest": manifest,
-        }
-        _emit(dumps(report), args.out)
+        _emit(dumps({"rows": [r.fields() for r in rows], "manifest": manifest}), args.out)
     else:
         csv_text = theorem3_rows_to_csv(rows)
         csv_text += "# manifest: " + dumps(manifest).replace("\n", " ") + "\n"

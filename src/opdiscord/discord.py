@@ -33,6 +33,7 @@ from .discrimination import (
     _grid_bases,
     _helstrom,
     are_perfectly_distinguishable,
+    basis_family,
     maximal_distinguishable_pure_families,
 )
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
@@ -138,27 +139,39 @@ def make_null_discord_state(decomp: NullDiscordDecomposition) -> StateVec:
 
 
 # ---------------------------------------------------------------------------
-# shared quantum helpers
+# the input gate and the decomposition builder
 
 
-def _require_bipartite(rho: StateVec) -> tuple[TheoryModel, TheoryModel]:
+def _require_state(rho: StateVec, quantum: bool = False) -> tuple[TheoryModel, TheoryModel]:
+    """The factors of ``rho``, once it passes the discord layer's checks,
+    in order: it is bipartite, on the quantum backend when ``quantum``,
+    normalized, and on the quantum backend positive semidefinite.  A
+    polytope point is not checked against its state cone, which would
+    take one more LP per call (see the README)."""
     if not rho.system.is_composite:
         raise SystemMismatchError("a bipartite state is required")
+    is_quantum = rho.system.backend == QUANTUM
+    if quantum and not is_quantum:
+        raise UnsupportedBackendError("operation requires the quantum backend")
+    if not rho.normalized:
+        raise InvalidStateError("discord is defined for normalized states")
+    if is_quantum:
+        validate_state(rho)
     return rho.system.factors
 
 
-def _require_quantum_bipartite(rho: StateVec) -> tuple[int, int]:
-    fa, fb = _require_bipartite(rho)
-    if rho.system.backend != QUANTUM:
-        raise UnsupportedBackendError("operation requires the quantum backend")
-    return fa.quantum_levels, fb.quantum_levels
-
-
-def _require_quantum_state(rho: StateVec) -> tuple[int, int]:
-    """Levels of a quantum bipartite ``rho``, which must be positive semidefinite."""
-    levels = _require_quantum_bipartite(rho)
-    validate_state(rho)
-    return levels
+def _decomposition(family, weights, parts, to_state) -> NullDiscordDecomposition:
+    """The terms of weight ``q_k > ZERO_WEIGHT_TOL``, with the weights
+    renormalized and conditionals ``to_state(parts[k] / q_k)``: ``parts``
+    are the unnormalized conditionals, as coordinates (polytope) or
+    matrices (quantum)."""
+    kept = [k for k, q in enumerate(weights) if q > ZERO_WEIGHT_TOL]
+    q = np.array([weights[k] for k in kept])
+    return NullDiscordDecomposition(
+        tuple(family[k] for k in kept),
+        q / np.sum(q),
+        tuple(to_state(parts[k] / weights[k]) for k in kept),
+    )
 
 
 # The quantum kernel works on stacks: bases ``(G, K, da)`` (rows are kets),
@@ -382,18 +395,11 @@ def _kets_from_family(family: tuple[StateVec, ...]) -> np.ndarray:
 def _quantum_decomposition(
     ab: TheoryModel, kets: np.ndarray, taus: np.ndarray
 ) -> NullDiscordDecomposition:
+    """The decomposition over the basis ``kets`` with blocks ``taus``,
+    whose traces are the weights."""
     fa, fb = ab.factors
-    family, weights, conditionals = [], [], []
-    for ket, tau in zip(kets, taus):
-        q = float(np.trace(tau).real)
-        if q <= ZERO_WEIGHT_TOL:
-            continue
-        family.append(fa.state_from_matrix(np.outer(ket, ket.conj())))
-        weights.append(q)
-        conditionals.append(fb.state_from_matrix(tau / q))
-    weights = np.array(weights)
-    weights = weights / np.sum(weights)
-    return NullDiscordDecomposition(tuple(family), weights, tuple(conditionals))
+    weights = [float(np.trace(tau).real) for tau in taus]
+    return _decomposition(basis_family(fa, kets), weights, taus, fb.state_from_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +424,7 @@ def check_vonneumann_fixed_point(rho: StateVec, basis: np.ndarray, tol: float = 
     to ``tol`` in each Hermitian-basis coordinate.  A negative, non-finite
     or bool ``tol`` raises ``ValueError``."""
     require_tolerance("tol", tol)
-    da, db = _require_quantum_bipartite(rho)
+    da, db = (f.quantum_levels for f in _require_state(rho, quantum=True))
     basis = _require_basis(basis, da)
     residual = _pinch_residuals(rho.matrix(), basis[None], da, db, rho.system.herm_basis)[0]
     return bool(residual <= tol)
@@ -442,7 +448,7 @@ def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) ->
     times the check's tolerance of a cq state can read either way.
     """
     cfg = config or DEFAULT_CONFIG
-    da, db = _require_quantum_bipartite(rho)
+    da, db = (f.quantum_levels for f in _require_state(rho, quantum=True))
     rho_mat = rho.matrix()
     rr = rho_mat.reshape(da, db, da, db)
 
@@ -497,17 +503,8 @@ def _polytope_distance_to_family(
         raise InvalidStateError("family distance LP failed; invalid input state")
 
     coeff = res.x[2 * m :].reshape(k, mb)
-    family_out, weights, conditionals = [], [], []
-    for idx in range(k):
-        q = float(np.sum(coeff[idx]))
-        if q <= ZERO_WEIGHT_TOL:
-            continue
-        family_out.append(family[idx])
-        weights.append(q)
-        conditionals.append(th_b.state(coeff[idx] @ b_vertices / q))
-    weights = np.array(weights)
-    weights = weights / np.sum(weights)
-    decomp = NullDiscordDecomposition(tuple(family_out), weights, tuple(conditionals))
+    weights = [float(np.sum(c)) for c in coeff]
+    decomp = _decomposition(family, weights, [c @ b_vertices for c in coeff], th_b.state)
     effect = ab.effect(res.dual_eq[:dim])
     return max(float(res.objective), 0.0), decomp, effect
 
@@ -524,7 +521,7 @@ def distance_to_family(
     primal-dual gap, and the value is the exact distance to the returned
     decomposition.
     """
-    fa, fb = _require_bipartite(rho)
+    fa, fb = _require_state(rho)
     family = tuple(family)
     if len(family) == 0:
         raise InvalidStateError("family must be non-empty")
@@ -533,8 +530,6 @@ def distance_to_family(
             raise InvalidStateError("family members must live on the first factor")
         if not is_pure(psi, 1e-8):
             raise InvalidStateError("family members must be pure")
-    if not rho.normalized:
-        raise InvalidStateError("distance is defined for normalized states")
 
     if rho.system.backend == POLYTOPE:
         cert = are_perfectly_distinguishable(list(family))
@@ -543,10 +538,9 @@ def distance_to_family(
         value, decomp, _ = _polytope_distance_to_family(rho, family)
         return value, decomp
 
-    da, db = _require_quantum_state(rho)
     kets = _kets_from_family(family)
     rho_mat = rho.matrix()
-    solution = solve_fixed_basis(rho_mat, kets[None], db)
+    solution = solve_fixed_basis(rho_mat, kets[None], fb.quantum_levels)
     return float(solution.value[0]), _quantum_decomposition(rho.system, kets, solution.taus[0])
 
 
@@ -642,9 +636,9 @@ def _quantum_basis_search(
 def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
     """The pinching of a fixed-point basis, else the fixed-basis solution
     at the searched basis; the value and certificate are the Helstrom
-    step of ``rho`` minus that cq state."""
-    da, db = _require_quantum_state(rho)
+    step of ``rho`` minus that cq state; ``rho`` has passed the gate."""
     ab = rho.system
+    da, db = (f.quantum_levels for f in ab.factors)
     rho_mat = rho.matrix()
     counter = [0]
 
@@ -687,9 +681,7 @@ def discord(rho: StateVec, config: SearchConfig | None = None) -> DiscordResult:
     inner LPs); a flagged upper bound on the quantum backend.
     """
     cfg = config or DEFAULT_CONFIG
-    fa, fb = _require_bipartite(rho)
-    if not rho.normalized:
-        raise InvalidStateError("discord is defined for normalized states")
+    fa, _ = _require_state(rho)
 
     if rho.system.backend == POLYTOPE:
         families = maximal_distinguishable_pure_families(fa)
@@ -737,7 +729,7 @@ def is_null_discord(
 
 
 def _entropies(rho: StateVec) -> tuple[float, float, float, np.ndarray, int, int]:
-    da, db = _require_quantum_state(rho)
+    da, db = (f.quantum_levels for f in _require_state(rho, quantum=True))
     rho_mat = rho.matrix()
     s_a = herm.entropy_bits(_marginal_a_matrix(rho_mat, da, db))
     s_b = herm.entropy_bits(_marginal_b_matrix(rho_mat, da, db))
@@ -753,7 +745,7 @@ def mutual_information(rho: StateVec) -> float:
 
 def conditional_J(rho: StateVec, basis: np.ndarray) -> float:
     """``S(B) - sum_i p_i S(B | outcome i)`` for a von Neumann measurement."""
-    da, db = _require_quantum_state(rho)
+    da, db = (f.quantum_levels for f in _require_state(rho, quantum=True))
     basis = _require_basis(basis, da)
     rho_mat = rho.matrix()
     s_b = herm.entropy_bits(_marginal_b_matrix(rho_mat, da, db))

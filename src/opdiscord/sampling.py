@@ -66,22 +66,6 @@ def random_cq_state(ab: TheoryModel, rng: np.random.Generator) -> StateVec:
     return ab.state_from_matrix(mat)
 
 
-def random_product_state(ab: TheoryModel, rng: np.random.Generator) -> StateVec:
-    fa, fb = ab.factors
-    a = random_state(fa, rng)
-    b = random_state(fb, rng)
-    return ab.state(np.kron(a.coords, b.coords))
-
-
-def random_bipartite_state(ab: TheoryModel, rng: np.random.Generator) -> StateVec:
-    """A random state of the composite: Dirichlet mixture of the product
-    vertices (polytope, where all states are separable by construction)
-    or a Ginibre density matrix (quantum)."""
-    if ab.backend == POLYTOPE:
-        return random_polytope_state(ab, rng)
-    return ab.state_from_matrix(random_density_matrix(ab.quantum_levels, rng))
-
-
 def random_separable_state(
     ab: TheoryModel, rng: np.random.Generator, terms: int = 4
 ) -> StateVec:

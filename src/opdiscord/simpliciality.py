@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SearchConfig
-from .discord import discord
+from .discord import _require_state, discord
 from .discrimination import _basis_from_angles
 from .fixedbasis import solve_fixed_basis
 from .sampling import random_state
@@ -28,7 +28,6 @@ from .theory import (
     StateVec,
     TheoryModel,
     compose_theories,
-    validate_state,
 )
 
 RANK_TOL = 1e-9
@@ -61,6 +60,19 @@ class TheoremRow:
     discord_lower_bound: float
     runtime_ms: float
     consistent: bool
+
+    def fields(self) -> dict:
+        """The data columns, in CSV order, with an infinite ``pure_count``
+        as ``"inf"``.  ``runtime_ms`` is wall-clock time, so it is left
+        out and equal inputs give equal fields."""
+        return {
+            "theory": self.theory,
+            "dim": self.dim,
+            "pure_count": "inf" if math.isinf(self.pure_count) else int(self.pure_count),
+            "is_simplex": self.is_simplex,
+            "witness_found": self.witness_found,
+            "discord_lower_bound": self.discord_lower_bound,
+        }
 
 
 def is_simplicial(theory: TheoryModel) -> SimplexReport:
@@ -114,14 +126,13 @@ def certified_discord_lower_bound(
     accepted for compatibility and must be at least 1; no setting
     changes the bound.
     """
-    fa, fb = rho.system.factors
-    if rho.system.backend != QUANTUM or fa.quantum_levels != 2:
+    fa, fb = _require_state(rho, quantum=True)
+    if fa.quantum_levels != 2:
         raise ValueError("certification is implemented for a qubit first factor")
     if n_theta < 2 or n_phi < 1:
         raise ValueError("the grid needs n_theta >= 2 and n_phi >= 1")
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    validate_state(rho)
     cover = (np.pi / (n_theta - 1)) / 2.0 + (2.0 * np.pi / n_phi) / 2.0
     slack = math.sin(cover / 2.0)
     kets = _angle_grid_bases(n_theta, n_phi)
@@ -279,13 +290,12 @@ def theorem3_report(
 
 
 def theorem3_rows_to_csv(rows: list[TheoremRow]) -> str:
-    """The rows as CSV.  ``runtime_ms`` is wall-clock time, so it is left
-    out and equal inputs give equal text."""
+    """The rows' ``TheoremRow.fields`` as CSV."""
     lines = ["theory,dim,pure_count,is_simplex,witness_found,discord_lower_bound"]
     for r in rows:
-        pure = "inf" if math.isinf(r.pure_count) else str(int(r.pure_count))
+        f = r.fields()
         lines.append(
-            f"{r.theory},{r.dim},{pure},{str(r.is_simplex).lower()},"
-            f"{str(r.witness_found).lower()},{r.discord_lower_bound:.12g}"
+            f"{f['theory']},{f['dim']},{f['pure_count']},{str(f['is_simplex']).lower()},"
+            f"{str(f['witness_found']).lower()},{f['discord_lower_bound']:.12g}"
         )
     return "\n".join(lines) + "\n"

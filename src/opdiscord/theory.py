@@ -165,9 +165,7 @@ class Transformation:
     def apply(self, rho: StateVec) -> StateVec:
         if not rho.system.is_same(self.input):
             raise SystemMismatchError("state lives on a different system than the map's input")
-        coords = self.matrix @ rho.coords
-        norm = abs(float(self.output.det_effect_coords @ coords) - 1.0) <= NORMALIZATION_TOL
-        return StateVec(self.output, _frozen(coords), norm)
+        return self.output.state(self.matrix @ rho.coords)
 
 
 @dataclass(frozen=True, eq=False)

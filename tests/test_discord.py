@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import opdiscord as od
+from opdiscord.discrimination import basis_family
 from opdiscord.herm import hermitian_basis
 from opdiscord.sampling import (
     random_cq_state,
@@ -658,6 +659,46 @@ class TestNonStatesRejected:
     def test_entropic_discord(self, non_psd):
         with pytest.raises(od.InvalidStateError):
             od.quantum_discord_entropy(non_psd)
+
+    def test_find_fixed_point_basis(self, non_psd):
+        with pytest.raises(od.InvalidStateError, match="outside the state cone"):
+            od.find_fixed_point_basis(non_psd)
+
+    def test_check_vonneumann_fixed_point(self, non_psd):
+        # the state is diagonal, so the computational basis would fix it
+        with pytest.raises(od.InvalidStateError, match="outside the state cone"):
+            od.check_vonneumann_fixed_point(non_psd, np.eye(2))
+
+
+class TestSubnormalizedRejected:
+    """``I/8`` on two qubits is positive but has trace 1/2: not a state."""
+
+    @pytest.fixture()
+    def half(self, two_qubits):
+        rho = two_qubits.state_from_matrix(np.eye(4, dtype=complex) / 8.0)
+        assert not rho.normalized
+        return rho
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            od.discord,
+            od.is_null_discord,
+            od.mutual_information,
+            od.quantum_discord_entropy,
+            od.find_fixed_point_basis,
+            lambda rho: od.conditional_J(rho, np.eye(2)),
+            lambda rho: od.check_vonneumann_fixed_point(rho, np.eye(2)),
+            lambda rho: od.distance_to_family(rho, list(basis_family(rho.system.factors[0], np.eye(2)))),
+        ],
+        ids=[
+            "discord", "is_null_discord", "mutual_information", "quantum_discord_entropy",
+            "find_fixed_point_basis", "conditional_J", "check_vonneumann_fixed_point", "distance_to_family",
+        ],
+    )
+    def test_rejected(self, half, call):
+        with pytest.raises(od.InvalidStateError, match="normalized states"):
+            call(half)
 
 
 # the stacked quantum kernel against its one-basis-at-a-time oracles

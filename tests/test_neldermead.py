@@ -189,3 +189,47 @@ def test_no_scipy_at_import(args):
     modules = _imported_modules(args)
     assert "opdiscord.discord" in modules
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+# Run with scipy blocked: ``sys.modules["scipy"] = None`` makes every
+# ``import scipy`` (and of its submodules) raise ImportError.
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+import numpy as np
+import opdiscord as od
+from opdiscord.cli import main
+from opdiscord.sampling import random_density_matrix
+from opdiscord.simpliciality import certified_discord_lower_bound
+
+q2, q3 = od.make_quantum(2), od.make_quantum(3)
+ket = np.array([1, 0, 0, 1]) / np.sqrt(2)
+bell = od.compose_theories(q2, q2).state_from_matrix(np.outer(ket, ket).astype(complex))
+tq = od.compose_theories(q3, q2).state_from_matrix(random_density_matrix(6, np.random.default_rng(11)))
+for rho in (bell, tq):
+    assert od.discord(rho).value > 0.1
+    assert od.quantum_discord_entropy(rho).discord_value > 0.0
+    assert od.is_null_discord(rho) == (False, None)
+assert certified_discord_lower_bound(bell) > 0.4
+rows = od.theorem3_report([od.make_classical(2), od.make_gbit(), q2])
+assert [r.consistent for r in rows] == [True, True, True]
+with open(sys.argv[1], "w") as fh:
+    json.dump({"systems": ["qubit", "qubit"], "coords": bell.coords.tolist()}, fh)
+for command in ("discord", "null-check"):
+    assert main([command, sys.argv[1], "--out", sys.argv[1] + ".out"]) == 0
+assert "scipy" not in [m.split(".")[0] for m, mod in sys.modules.items() if mod is not None]
+print("ok")
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: the searches, the certified
+    bound, the Theorem 3 report and the CLI run with scipy unimportable."""
+    src = str(Path(od.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path / "bell.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -153,6 +153,26 @@ class TestCertifiedBoundRejectsBadInput:
         with pytest.raises(od.InvalidStateError, match="outside the state cone"):
             certified_discord_lower_bound(non_psd)
 
+    def test_subnormalized_state(self, two_qubits):
+        # I/8 has trace 1/2; the parent returned a "bound" of -0.285 for it
+        half = two_qubits.state_from_matrix(np.eye(4, dtype=complex) / 8.0)
+        with pytest.raises(od.InvalidStateError, match="normalized states"):
+            certified_discord_lower_bound(half)
+
+    def test_single_system_state(self, qubit):
+        with pytest.raises(od.SystemMismatchError, match="bipartite"):
+            certified_discord_lower_bound(qubit.state_from_matrix(np.eye(2, dtype=complex) / 2.0))
+
+    def test_polytope_state(self, gbit):
+        gg = od.compose_theories(gbit, gbit)
+        with pytest.raises(od.UnsupportedBackendError):
+            certified_discord_lower_bound(gg.state(np.kron(gbit.pure_state_coords[0], gbit.pure_state_coords[0])))
+
+    def test_qutrit_first_factor(self):
+        ab = od.compose_theories(od.make_quantum(3), od.make_quantum(2))
+        with pytest.raises(ValueError, match="qubit first factor"):
+            certified_discord_lower_bound(ab.state_from_matrix(np.eye(6, dtype=complex) / 6.0))
+
 
 class TestTheorem3Report:
     def test_rows_and_consistency(self):

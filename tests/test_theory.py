@@ -247,3 +247,8 @@ class TestTransformations:
         out = half.apply(classical2.state([0.3, 0.7]))
         assert not out.normalized
         assert_allclose(out.coords, [0.3, 0.0], atol=1e-15)
+
+    def test_apply_rejects_a_non_finite_image(self, classical2):
+        nan_map = od.Transformation(classical2, classical2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(od.InvalidStateError, match="coordinates must be finite"):
+            nan_map.apply(classical2.state([0.5, 0.5]))
