@@ -82,21 +82,13 @@ class NullDiscordDecomposition:
             raise InvalidStateError("weights must be nonnegative")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise InvalidStateError("weights must sum to 1")
-        sys_a = self.family[0].system
+        _require_family(self.family, self.family[0].system)
         sys_b = self.conditionals[0].system
-        for psi in self.family:
-            if not psi.system.is_same(sys_a):
-                raise InvalidStateError("family members live on different systems")
-            if not is_pure(psi, 1e-8):
-                raise InvalidStateError("family member is not a pure state")
         for sigma in self.conditionals:
             if not sigma.system.is_same(sys_b):
                 raise InvalidStateError("conditionals live on different systems")
             if not sigma.normalized or not state_in_cone(sigma):
                 raise InvalidStateError("conditional is not a valid normalized state")
-        cert = are_perfectly_distinguishable(list(self.family))
-        if not cert.distinguishable:
-            raise InvalidStateError("family is not jointly perfectly distinguishable")
 
 
 @dataclass(frozen=True)
@@ -111,6 +103,10 @@ class DiscordResult:
     solver's primal-dual gap there is at most
     ``fixedbasis.gap_tolerance(da)``.  It says nothing about whether
     another basis does better.
+
+    ``outer_evaluations`` is the number of families (polytope); else 1 on
+    a recognized cq state, or the search's scores (grid, Nelder-Mead
+    ``nfev``, one final point per run) plus the fixed-basis solver's steps.
     """
 
     value: float
@@ -158,6 +154,22 @@ def _require_state(rho: StateVec, quantum: bool = False) -> tuple[TheoryModel, T
     if is_quantum:
         validate_state(rho)
     return rho.system.factors
+
+
+def _require_family(family, system: TheoryModel) -> tuple[StateVec, ...]:
+    """``family`` as a tuple, once it is non-empty, each member is a pure state
+    on ``system``, and the members are jointly perfectly distinguishable."""
+    family = tuple(family)
+    if len(family) == 0:
+        raise InvalidStateError("family must be non-empty")
+    for psi in family:
+        if not psi.system.is_same(system):
+            raise InvalidStateError(f"family members must live on {system.name}")
+        if not is_pure(psi, 1e-8):
+            raise InvalidStateError("family members must be pure")
+    if not are_perfectly_distinguishable(list(family)).distinguishable:
+        raise InvalidStateError("family is not jointly perfectly distinguishable")
+    return family
 
 
 def _decomposition(family, weights, parts, to_state) -> NullDiscordDecomposition:
@@ -378,18 +390,8 @@ def _marginal_b_matrix(rho_mat: np.ndarray, da: int, db: int) -> np.ndarray:
 
 
 def _kets_from_family(family: tuple[StateVec, ...]) -> np.ndarray:
-    kets = []
-    for psi in family:
-        mat = psi.matrix()
-        w, u = np.linalg.eigh(mat)
-        if w[-1] < 1.0 - 1e-8:
-            raise InvalidStateError("family member is not a rank-one projector")
-        kets.append(u[:, -1])
-    kets = np.array(kets)
-    gram = kets @ kets.conj().T
-    if np.max(np.abs(gram - np.eye(len(kets)))) > 1e-7:
-        raise InvalidStateError("family members are not mutually orthogonal")
-    return kets
+    """Each member's top eigenvector, as rows, for a family that passed ``_require_family``."""
+    return np.array([np.linalg.eigh(psi.matrix())[1][:, -1] for psi in family])
 
 
 def _quantum_decomposition(
@@ -484,7 +486,7 @@ def _polytope_distance_to_family(
     the equality multipliers recover the optimal discrimination effect.
     """
     ab = rho.system
-    th_a, th_b = ab.factors
+    _, th_b = ab.factors
     pure = ab.pure_state_coords
     m, dim = pure.shape
     b_vertices = th_b.pure_state_coords
@@ -522,19 +524,8 @@ def distance_to_family(
     decomposition.
     """
     fa, fb = _require_state(rho)
-    family = tuple(family)
-    if len(family) == 0:
-        raise InvalidStateError("family must be non-empty")
-    for psi in family:
-        if not psi.system.is_same(fa):
-            raise InvalidStateError("family members must live on the first factor")
-        if not is_pure(psi, 1e-8):
-            raise InvalidStateError("family members must be pure")
-
+    family = _require_family(family, fa)
     if rho.system.backend == POLYTOPE:
-        cert = are_perfectly_distinguishable(list(family))
-        if not cert.distinguishable:
-            raise InvalidStateError("family is not jointly perfectly distinguishable")
         value, decomp, _ = _polytope_distance_to_family(rho, family)
         return value, decomp
 
@@ -553,8 +544,7 @@ def _quantum_basis_search(
     cfg: SearchConfig,
     grid_objective,
     point_objective,
-    counter: list[int],
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, int]:
     """Grid plus Nelder-Mead refinement over measurement bases, for the
     state whose blocks are ``r = _block_rows(rho)``.
 
@@ -583,31 +573,30 @@ def _quantum_basis_search(
     less than one stacked call.  Every stacked step makes, for each basis,
     the BLAS or LAPACK call that one basis alone makes, so the search
     returns bit for bit what the restarts return run one at a time.
+
+    Returns the best basis, its score and the number of scores taken:
+    the grid, each run's ``nfev`` and one final score per run.
     """
     da = len(r)
     grid = _grid_bases(da, cfg)
-    counter[0] += len(grid)
     scores = grid_objective(grid)
     order = np.argsort(scores, kind="stable")
     best_idx = int(order[0])
     best_basis, best_val = grid[best_idx].copy(), float(scores[best_idx])
 
     starts = grid[order[: cfg.restarts]]
+    evaluations = len(grid) + len(starts)
     if da == 2:
         for start_basis in starts:
             ket0 = start_basis[0]
-            theta = 2.0 * np.arccos(np.clip(np.abs(ket0[0]), 0.0, 1.0))
+            theta = float(2.0 * np.arccos(np.clip(np.abs(ket0[0]), 0.0, 1.0)))
             phi = float(np.angle(ket0[1])) if abs(ket0[1]) > 1e-12 else 0.0
-
-            def score(x):
-                counter[0] += 1
-                return point_objective(*x)
-
-            res = minimize(score, [float(theta), phi], cfg.refine_iters, xatol=1e-10, fatol=1e-12)
-            val = score(res.x)
+            res = minimize(lambda x: point_objective(*x), [theta, phi], cfg.refine_iters, xatol=1e-10, fatol=1e-12)
+            evaluations += res.nfev
+            val = point_objective(*res.x)
             if val < best_val:
                 best_val, best_basis = val, _basis_from_angles(*res.x)
-        return best_basis, best_val
+        return best_basis, best_val, evaluations
 
     hb = herm.hermitian_basis(da).reshape(da * da, da * da)
 
@@ -620,17 +609,16 @@ def _quantum_basis_search(
         return (_expi(h) @ starts[owners].swapaxes(-1, -2)).swapaxes(-1, -2)
 
     def score(points, owners):
-        counter[0] += len(points)
         return point_objective(bases_of(points, owners))
 
     runs = minimize_stack(score, [[0.0] * (da * da)] * len(starts), cfg.refine_iters, xatol=1e-10, fatol=1e-12)
     if runs:
         finals = bases_of([res.x for res in runs], list(range(len(runs))))
-        counter[0] += len(finals)
+        evaluations += sum(res.nfev for res in runs)
         for basis, val in zip(finals, point_objective(finals)):
             if val < best_val:
                 best_val, best_basis = val, basis
-    return best_basis, best_val
+    return best_basis, best_val, evaluations
 
 
 def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
@@ -640,12 +628,11 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
     ab = rho.system
     da, db = (f.quantum_levels for f in ab.factors)
     rho_mat = rho.matrix()
-    counter = [0]
 
     basis = find_fixed_point_basis(rho, cfg)
     if basis is not None:
         taus = _blocks(rho_mat, basis[None], da, db)[0]
-        counter[0] += 1
+        evaluations = 1
         converged = True
     else:
         r = _block_rows(rho_mat, da, db)
@@ -656,11 +643,11 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
             def point(bases: np.ndarray) -> list[float]:
                 return _block_pinch_distances(r, bases).tolist()
 
-        basis, _ = _quantum_basis_search(r, cfg, functools.partial(_block_pinch_distances, r), point, counter)
+        basis, _, evaluations = _quantum_basis_search(r, cfg, functools.partial(_block_pinch_distances, r), point)
         # the exact optimum over weights and conditionals at the winning
         # basis, started from its pinching
         solution = solve_fixed_basis(rho_mat, basis[None], db)
-        counter[0] += int(solution.iterations[0])
+        evaluations += int(solution.iterations[0])
         taus = solution.taus[0]
         converged = bool(solution.value[0] - solution.lower[0] <= gap_tolerance(da))
 
@@ -669,7 +656,7 @@ def _quantum_discord(rho: StateVec, cfg: SearchConfig) -> DiscordResult:
         value=value,
         optimizer=_quantum_decomposition(ab, basis, taus),
         certificate_effect=effect,
-        outer_evaluations=counter[0],
+        outer_evaluations=evaluations,
         converged=converged,
     )
 
@@ -690,14 +677,7 @@ def discord(rho: StateVec, config: SearchConfig | None = None) -> DiscordResult:
             value, decomp, effect = _polytope_distance_to_family(rho, fam)
             if best is None or value < best[0] - 1e-12:
                 best = (value, decomp, effect)
-        value, decomp, effect = best
-        return DiscordResult(
-            value=value,
-            optimizer=decomp,
-            certificate_effect=effect,
-            outer_evaluations=len(families),
-            converged=True,
-        )
+        return DiscordResult(*best, outer_evaluations=len(families), converged=True)
     return _quantum_discord(rho, cfg)
 
 
@@ -774,7 +754,7 @@ def quantum_discord_entropy(rho: StateVec, config: SearchConfig | None = None) -
         def point_objective(bases: np.ndarray) -> list[float]:
             return [info - _point_measured_J(taus, s_b) for taus in _block_between(r, bases, bases).tolist()]
 
-    basis, best = _quantum_basis_search(r, cfg, grid_objective, point_objective, [0])
+    basis, best, _ = _quantum_basis_search(r, cfg, grid_objective, point_objective)
     j_val = info - best
     return EntropyReport(
         S_A=s_a,

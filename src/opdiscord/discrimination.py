@@ -104,10 +104,10 @@ def operational_distance(rho0: StateVec, rho1: StateVec) -> float:
     return min_error_discrimination(rho0, rho1).distance
 
 
-def _quantum_support_projectors(states: list[StateVec], tol: float = 1e-9):
+def _quantum_support_projectors(states: list[StateVec]):
     mats = [s.matrix() for s in states]
     for a, b in itertools.combinations(mats, 2):
-        if np.linalg.norm(a @ b) > tol:
+        if np.linalg.norm(a @ b) > 1e-9:
             return None
     d = mats[0].shape[0]
     projs = []

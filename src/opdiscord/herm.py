@@ -41,10 +41,10 @@ def product_basis(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
-def mat_to_coords(mat: np.ndarray, basis: np.ndarray, imag_tol: float = 1e-9) -> np.ndarray:
-    """Coordinates ``x_i = Tr[M B_i]``; M must be Hermitian up to imag_tol."""
+def mat_to_coords(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates ``x_i = Tr[M B_i]``; M must be Hermitian up to 1e-9."""
     coords = np.einsum("ij,kji->k", np.asarray(mat, dtype=complex), basis)
-    if np.max(np.abs(coords.imag)) > imag_tol:
+    if np.max(np.abs(coords.imag)) > 1e-9:
         raise ValueError("matrix is not Hermitian within tolerance")
     return coords.real.copy()
 
@@ -71,10 +71,10 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 ENTROPY_EIG_FLOOR = 1e-12
 
 
-def entropy_bits(mat: np.ndarray, eig_floor: float = ENTROPY_EIG_FLOOR) -> float:
-    """Von Neumann entropy in bits; eigenvalues below eig_floor contribute 0."""
+def entropy_bits(mat: np.ndarray) -> float:
+    """Von Neumann entropy in bits; eigenvalues <= ENTROPY_EIG_FLOOR add 0."""
     w = np.linalg.eigvalsh(np.asarray(mat, dtype=complex))
-    w = w[w > eig_floor]
+    w = w[w > ENTROPY_EIG_FLOOR]
     if w.size == 0:
         return 0.0
     return float(-np.sum(w * np.log2(w)))

@@ -90,7 +90,6 @@ def solve_lp(
     c: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    max_iter: int | None = None,
 ) -> LPResult:
     """Solve ``min c.x  s.t.  A x = b, x >= 0``.
 
@@ -104,8 +103,7 @@ def solve_lp(
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("LP data must be finite")
     m, n = A.shape
-    if max_iter is None:
-        max_iter = 200 * (m + n + 10)
+    max_iter = 200 * (m + n + 10)
 
     tab = _Tableau(A, b)
     n_total = n + m

@@ -139,6 +139,8 @@ def theory_from_obj(obj: dict) -> TheoryModel:
     dim = int(obj["dim"])
     if pure.ndim != 2 or pure.shape[1] != dim or det.shape != (dim,):
         raise InvalidStateError("polytope theory file has inconsistent dimensions")
+    if not all(np.isfinite(a).all() for a in (pure, effects, det)):
+        raise InvalidStateError("polytope theory file has non-finite entries")
     return TheoryModel(
         name=str(obj["name"]),
         backend=POLYTOPE,
@@ -227,8 +229,7 @@ def basis_to_obj(basis: np.ndarray) -> list:
 
 
 def config_from_path(path: str) -> SearchConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SearchConfig.from_obj(json.load(fh))
+    return SearchConfig.from_obj(load_json(path))
 
 
 def load_json(path: str) -> dict:

@@ -285,31 +285,21 @@ def make_quantum(d: int) -> TheoryModel:
 def _compose_cached(a: TheoryModel, b: TheoryModel) -> TheoryModel:
     if a.backend != b.backend:
         raise SystemMismatchError("cannot compose systems of different backends")
-    name = f"{a.name}*{b.name}"
-    det = np.kron(a.det_effect_coords, b.det_effect_coords)
-    if a.backend == POLYTOPE:
-        pure = np.array(
-            [np.kron(v, w) for v in a.pure_state_coords for w in b.pure_state_coords]
-        )
-        return TheoryModel(
-            name=name,
-            backend=POLYTOPE,
-            dim=a.dim * b.dim,
-            pure_state_coords=_frozen(pure),
-            effect_vertex_coords=None,
-            det_effect_coords=_frozen(det),
-            factors=(a, b),
-        )
-    basis = herm.product_basis(a.herm_basis, b.herm_basis)
-    basis.setflags(write=False)
+    # a quantum factor lists no vertices, so the product has shape (0, dim)
+    pure = np.array([np.kron(v, w) for v in a.pure_state_coords for w in b.pure_state_coords])
+    basis = levels = None
+    if a.herm_basis is not None:
+        basis = herm.product_basis(a.herm_basis, b.herm_basis)
+        basis.setflags(write=False)
+        levels = a.quantum_levels * b.quantum_levels
     return TheoryModel(
-        name=name,
-        backend=QUANTUM,
+        name=f"{a.name}*{b.name}",
+        backend=a.backend,
         dim=a.dim * b.dim,
-        pure_state_coords=_frozen(np.zeros((0, a.dim * b.dim))),
+        pure_state_coords=_frozen(pure.reshape(-1, a.dim * b.dim)),
         effect_vertex_coords=None,
-        det_effect_coords=_frozen(det),
-        quantum_levels=a.quantum_levels * b.quantum_levels,
+        det_effect_coords=_frozen(np.kron(a.det_effect_coords, b.det_effect_coords)),
+        quantum_levels=levels,
         herm_basis=basis,
         factors=(a, b),
     )
@@ -411,7 +401,6 @@ def validate_transformation(t: Transformation, tol: float = 1e-10, samples: int 
     """
     if t.input.backend == POLYTOPE:
         for v in t.input.pure_state_coords:
-            out = t.input.state(v)
             img = StateVec(t.output, _frozen(t.matrix @ v), False)
             if not state_in_cone(img):
                 raise InvalidStateError("transformation maps a pure state outside the cone")

@@ -513,9 +513,10 @@ def qutrit_search_sequential(r, cfg, grid_objective, point_objective, counter):
     same grid, then one ``neldermead.minimize`` run per restart, each point's
     basis ``(_expi(x @ hb) @ u0).T`` built alone and scored alone by
     ``point_objective(basis)`` (see ``one_basis_pinch`` and
-    ``one_basis_entropic``).  Arguments and result as
-    ``opdiscord.discord._quantum_basis_search``, whose evaluation count it
-    adds to ``counter[0]`` the same way."""
+    ``one_basis_entropic``).  Arguments as
+    ``opdiscord.discord._quantum_basis_search``, plus ``counter``; it
+    returns that search's basis and value, and adds the evaluation count
+    the search returns to ``counter[0]``."""
     from opdiscord.herm import hermitian_basis
     from opdiscord.neldermead import minimize
 

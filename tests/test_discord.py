@@ -166,6 +166,37 @@ class TestDistanceToFamily:
         assert_allclose(value, od.operational_distance(bell_state, recon), atol=1e-9)
         assert value <= 0.5 + 1e-9
 
+    def test_overlapping_supports_rejected(self, two_qubits, qubit):
+        # the second member overlaps |0> by 5e-8: within a Gram test at
+        # 1e-7, but not perfectly distinguishable at 1e-9
+        rho = two_qubits.state_from_matrix(random_density_matrix(4, np.random.default_rng(1)))
+        ket = np.array([5e-8, 1.0]) / np.hypot(5e-8, 1.0)
+        fam = [qubit.state_from_matrix(dm(KET0)), qubit.state_from_matrix(dm(ket))]
+        with pytest.raises(od.InvalidStateError, match="distinguishable"):
+            od.distance_to_family(rho, fam)
+
+    @pytest.mark.parametrize("da", [2, 3])
+    def test_quantum_decompositions_are_null_discord_states(self, da):
+        fa = od.make_quantum(da)
+        ab = od.compose_theories(fa, od.make_quantum(2))
+        rng = np.random.default_rng([31, da])
+        for _ in range(5):
+            rho = ab.state_from_matrix(random_density_matrix(2 * da, rng))
+            family = basis_family(fa, random_haar_basis(da, rng))
+            value, decomp = od.distance_to_family(rho, list(family))
+            recon = od.make_null_discord_state(decomp)
+            assert_allclose(value, od.operational_distance(rho, recon), atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["gbit", "pentagon"])
+    def test_polytope_decompositions_are_null_discord_states(self, name, request, rng):
+        theory = request.getfixturevalue(name)
+        ab = od.compose_theories(theory, theory)
+        for family in od.maximal_distinguishable_pure_families(theory):
+            rho = random_state(ab, rng)
+            value, decomp = od.distance_to_family(rho, list(family))
+            recon = od.make_null_discord_state(decomp)
+            assert_allclose(value, od.operational_distance(rho, recon), atol=1e-9)
+
 
 class TestDiscord:
     def test_product_states_have_zero_discord(self, gbit, qubit, rng):
@@ -1049,11 +1080,11 @@ class TestLockstepAgainstSequentialSearch:
         lockstep = kernel._quantum_basis_search
 
         def compared(point_of):
-            def search(r, cfg, grid_objective, point_objective, counter):
-                seq_counter = [counter[0]]
+            def search(r, cfg, grid_objective, point_objective):
+                seq_counter = [0]
                 want = oracles.qutrit_search_sequential(r, cfg, grid_objective, point_of(r), seq_counter)
-                got = lockstep(r, cfg, grid_objective, point_objective, counter)
-                searches.append((got, want, counter[0], seq_counter[0]))
+                got = lockstep(r, cfg, grid_objective, point_objective)
+                searches.append((got[:2], want, got[2], seq_counter[0]))
                 return got
 
             return search
@@ -1069,6 +1100,47 @@ class TestLockstepAgainstSequentialSearch:
             assert value == want_value
             assert count == want_count
         assert np.array_equal(rep.optimal_measurement, searches[1][1][0])
+
+
+class TestOuterEvaluations:
+    """``DiscordResult.outer_evaluations`` counts the inner problems."""
+
+    def test_one_on_a_cq_state(self, two_qubits):
+        rho = random_cq_state(two_qubits, np.random.default_rng(4))
+        assert od.discord(rho).outer_evaluations == 1
+
+    @pytest.mark.parametrize("name", ["gbit", "pentagon", "classical3"])
+    def test_number_of_families_on_the_polytope_backend(self, name, request, rng):
+        theory = request.getfixturevalue(name)
+        rho = random_state(od.compose_theories(theory, theory), rng)
+        families = od.maximal_distinguishable_pure_families(theory)
+        assert od.discord(rho).outer_evaluations == len(families)
+
+    @pytest.mark.parametrize("da", [2, 3])
+    def test_grid_restarts_nelder_mead_points_and_solver_steps(self, da, monkeypatch):
+        rho = od.compose_theories(od.make_quantum(da), od.make_quantum(2)).state_from_matrix(
+            random_density_matrix(2 * da, np.random.default_rng([8, da]))
+        )
+        cfg = od.SearchConfig(grid_points=12, refine_iters=25, restarts=3)
+        calls = {"minimize": [], "minimize_stack": [], "solve_fixed_basis": []}
+
+        def recorded(fn, out):
+            def wrapper(*args, **kwargs):
+                out.append(fn(*args, **kwargs))
+                return out[-1]
+
+            return wrapper
+
+        for name, out in calls.items():
+            monkeypatch.setattr(kernel, name, recorded(getattr(kernel, name), out))
+        result = od.discord(rho, cfg)
+        assert od.find_fixed_point_basis(rho, cfg) is None
+        runs = calls["minimize"] + [res for stack in calls["minimize_stack"] for res in stack]
+        (solution,) = calls["solve_fixed_basis"]
+        assert len(runs) == cfg.restarts
+        grid = cfg.resolved_grid_points(da)
+        want = grid + cfg.restarts + sum(res.nfev for res in runs) + int(solution.iterations[0])
+        assert result.outer_evaluations == want
 
 
 class TestConvergedFlag:

@@ -247,6 +247,25 @@ class TestCLI:
         assert rc == 0
         assert json.loads(out.read_text())["distance"] <= 1e-12
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pure_states", float("nan")),
+            ("effect_vertices", float("-inf")),
+            ("deterministic_effect", float("inf")),
+        ],
+    )
+    def test_non_finite_theory_file_exits_2(self, tmp_path, pentagon, rng, capsys, field, value):
+        obj = json.loads(dumps(theory_to_obj(pentagon)))
+        entries = np.array(obj[field], dtype=float)
+        entries.flat[-1] = value
+        obj[field] = entries.tolist()
+        tfile = tmp_path / "pent.json"
+        tfile.write_text(json.dumps(obj))
+        sfile = write(tmp_path, "s.json", state_to_obj(random_state(pentagon, rng)))
+        assert main(["distance", sfile, sfile, "--theory", str(tfile)]) == 2
+        assert "non-finite entries" in capsys.readouterr().err
+
     def test_exit_code_on_missing_file(self, capsys):
         assert main(["distance", "/nonexistent/a.json", "/nonexistent/b.json"]) == 2
 
