@@ -38,7 +38,7 @@ from .discrimination import (
 )
 from .errors import InvalidStateError, SystemMismatchError, UnsupportedBackendError
 from .fixedbasis import gap_tolerance, solve_fixed_basis
-from .lp import OPTIMAL, solve_lp
+from .lp import OPTIMAL, LPResult, solve_lp, solve_lps
 from .neldermead import minimize, minimize_stack
 from .sampling import random_pure_ket
 from .theory import (
@@ -474,22 +474,20 @@ def find_fixed_point_basis(rho: StateVec, config: SearchConfig | None = None) ->
 # distance to a fixed family
 
 
-def _polytope_distance_to_family(
-    rho: StateVec, family: tuple[StateVec, ...]
-) -> tuple[float, NullDiscordDecomposition, EffectVec]:
-    """Exact inner minimum over weights and conditionals, as one LP.
+def _polytope_family_lp(rho: StateVec, family: tuple[StateVec, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inner minimum over weights and conditionals, as one LP ``(c, A, b)``.
 
     The operational distance ``max_a a.(rho - sigma)`` over the dual
     effect polytope equals ``min { sum mu : V^T (mu - nu) = rho - sigma }``
     by LP duality, so minimizing jointly over the decomposable states
     ``sigma = sum_kj c_kj psi_k (x) w_j`` stays a single linear program;
     the equality multipliers recover the optimal discrimination effect.
+    Families of one size give LPs of one shape with the same ``c`` and ``b``.
     """
     ab = rho.system
-    _, th_b = ab.factors
     pure = ab.pure_state_coords
     m, dim = pure.shape
-    b_vertices = th_b.pure_state_coords
+    b_vertices = ab.factors[1].pure_state_coords
     mb = b_vertices.shape[0]
     k = len(family)
 
@@ -500,15 +498,30 @@ def _polytope_distance_to_family(
     A_eq = np.vstack([A_eq, np.concatenate([np.zeros(2 * m), np.ones(k * mb)])])
     b_eq = np.concatenate([rho.coords, [1.0]])
     cost = np.concatenate([np.ones(m), np.zeros(m + k * mb)])
-    res = solve_lp(cost, A_eq, b_eq)
+    return cost, A_eq, b_eq
+
+
+def _polytope_family_value(res: LPResult) -> float:
+    """The distance read from the solved LP of ``_polytope_family_lp``."""
     if res.status != OPTIMAL:
         raise InvalidStateError("family distance LP failed; invalid input state")
+    return max(float(res.objective), 0.0)
 
-    coeff = res.x[2 * m :].reshape(k, mb)
+
+def _polytope_family_result(
+    rho: StateVec, family: tuple[StateVec, ...], res: LPResult
+) -> tuple[float, NullDiscordDecomposition, EffectVec]:
+    """The distance, decomposition and optimal effect read from the
+    solved LP of ``_polytope_family_lp``."""
+    value = _polytope_family_value(res)
+    ab = rho.system
+    th_b = ab.factors[1]
+    b_vertices = th_b.pure_state_coords
+    coeff = res.x[2 * ab.pure_state_coords.shape[0] :].reshape(len(family), b_vertices.shape[0])
     weights = [float(np.sum(c)) for c in coeff]
     decomp = _decomposition(family, weights, [c @ b_vertices for c in coeff], th_b.state)
-    effect = ab.effect(res.dual_eq[:dim])
-    return max(float(res.objective), 0.0), decomp, effect
+    effect = ab.effect(res.dual_eq[: ab.dim])
+    return value, decomp, effect
 
 
 def distance_to_family(
@@ -526,7 +539,8 @@ def distance_to_family(
     fa, fb = _require_state(rho)
     family = _require_family(family, fa)
     if rho.system.backend == POLYTOPE:
-        value, decomp, _ = _polytope_distance_to_family(rho, family)
+        res = solve_lp(*_polytope_family_lp(rho, family))
+        value, decomp, _ = _polytope_family_result(rho, family, res)
         return value, decomp
 
     kets = _kets_from_family(family)
@@ -672,12 +686,23 @@ def discord(rho: StateVec, config: SearchConfig | None = None) -> DiscordResult:
 
     if rho.system.backend == POLYTOPE:
         families = maximal_distinguishable_pure_families(fa)
-        best = None
-        for fam in families:
-            value, decomp, effect = _polytope_distance_to_family(rho, fam)
-            if best is None or value < best[0] - 1e-12:
-                best = (value, decomp, effect)
-        return DiscordResult(*best, outer_evaluations=len(families), converged=True)
+        lps = [_polytope_family_lp(rho, fam) for fam in families]
+        by_size: dict[int, list[int]] = {}
+        for i, fam in enumerate(families):
+            by_size.setdefault(len(fam), []).append(i)
+        # one lockstep stack per family size, each LP on its own Bland path
+        results = {}
+        for idx in by_size.values():
+            c, _, b = lps[idx[0]]
+            results.update(zip(idx, solve_lps(c, [lps[i][1] for i in idx], b)))
+        values = [_polytope_family_value(results[i]) for i in range(len(families))]
+        best = 0
+        for i, value in enumerate(values):
+            if value < values[best] - 1e-12:
+                best = i
+        # only the winning family's decomposition and effect are built
+        result = _polytope_family_result(rho, families[best], results[best])
+        return DiscordResult(*result, outer_evaluations=len(families), converged=True)
     return _quantum_discord(rho, cfg)
 
 

@@ -233,6 +233,47 @@ class TestDiscord:
         )
         assert_allclose(value, ref, atol=1e-9)
 
+    def test_prism_discord_bit_identical_to_a_per_family_loop(self):
+        # the triangular prism's maximal families come in two sizes, so one
+        # discord call solves two lockstep stacks
+        from opdiscord.lp import solve_lp
+        from opdiscord.theory import POLYTOPE, TheoryModel, _frozen
+
+        kernel = importlib.import_module("opdiscord.discord")
+        angles = 2.0 * np.pi * np.arange(3) / 3.0
+        pure = [[np.cos(t), np.sin(t), z, 1.0] for t in angles for z in (-1.0, 1.0)]
+        prism = TheoryModel(
+            name="prism",
+            backend=POLYTOPE,
+            dim=4,
+            pure_state_coords=_frozen(pure),
+            effect_vertex_coords=None,
+            det_effect_coords=_frozen([0.0, 0.0, 0.0, 1.0]),
+        )
+        families = od.maximal_distinguishable_pure_families(prism)
+        assert sorted(len(fam) for fam in families) == [2] * 3 + [3] * 8
+        ab = od.compose_theories(prism, prism)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            rho = ab.state(rng.dirichlet(np.full(36, 0.3)) @ ab.pure_state_coords)
+            best = None
+            for fam in families:
+                value, decomp = od.distance_to_family(rho, list(fam))
+                lp = kernel._polytope_family_lp(rho, fam)
+                effect = kernel._polytope_family_result(rho, fam, solve_lp(*lp))[2]
+                if best is None or value < best[0] - 1e-12:
+                    best = (value, decomp, effect)
+            res = od.discord(rho)
+            value, decomp, effect = best
+            assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+            assert res.certificate_effect.coords.tobytes() == effect.coords.tobytes()
+            assert res.optimizer.weights.tobytes() == decomp.weights.tobytes()
+            for got, want in zip(res.optimizer.family + res.optimizer.conditionals, decomp.family + decomp.conditionals):
+                assert got.coords.tobytes() == want.coords.tobytes()
+            assert len(res.optimizer.family) == len(decomp.family)
+            assert len(res.optimizer.conditionals) == len(decomp.conditionals)
+            assert res.outer_evaluations == len(families)
+
     def test_classical_states_have_zero_discord(self, classical2, rng):
         cc = od.compose_theories(classical2, classical2)
         for _ in range(25):
